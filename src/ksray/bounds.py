@@ -1,22 +1,26 @@
 """Classical, quantum, and conspiratorial bounds of a contextuality graph.
 
 classical  = independence number, exact branch and bound
-quantum    = Lovasz theta, dual barrier method with an a-posteriori
-             certified duality gap
+quantum    = Lovasz theta, primal-dual path following with an
+             a-posteriori certified duality gap
 conspiratorial = fractional packing number, LP over maximal cliques
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import (LinAlgWarning, cho_solve, lu_factor, lu_solve,
+                          solve_triangular)
 from scipy.optimize import linprog
 
 from .ortho import OrthoGraph, maximal_cliques
 
 SIZE_GUARD = 64
+MAX_ITERATIONS = 100
 
 
 class TooLarge(ValueError):
@@ -24,7 +28,8 @@ class TooLarge(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """Theta solve missed the gap target; achieved gap attached."""
+    """A bound failed its certificate check; the gap or violation (or nan)
+    attached."""
 
     def __init__(self, message: str, gap: float):
         super().__init__(message)
@@ -93,7 +98,7 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
     witness = tuple(sorted(bits(best_mask)))
     for a, b in itertools.combinations(witness, 2):
         if g.adjacency[a, b]:
-            raise AssertionError("witness not independent")
+            raise NumericalFailure("witness not independent", np.nan)
     return best_size, witness
 
 
@@ -118,77 +123,112 @@ class ThetaCertificate:
     edge_duals: np.ndarray
 
 
-def theta_certificate(g: OrthoGraph, eps: float = 1e-6,
-                      newton_per_stage: int = 60) -> ThetaCertificate:
+def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
     """Solve max <J,X> s.t. tr X = 1, X zero on edges, X PSD.
 
-    Works on the dual min t with t I + sum_e y_e E_e - J PSD via a log-det
-    barrier; at a central point X = Z^{-1}/eta is nearly primal feasible and
-    the duality gap equals n/eta.  The returned bracket is certified
-    independently of the path taken: any dual point gives the upper bound,
-    and the repaired X gives the lower bound.
+    Feasible primal-dual path following on the pair (X, Z), where the dual
+    is min t with Z = t I + sum_e y_e E_e - J PSD: HKM search direction with
+    a Mehrotra predictor-corrector, started from the strictly feasible
+    X = I/n, Z = (n+1) I - J.  Every iterate stays feasible, so <X, Z> is
+    the duality gap; the loop stops once it is below 1e-3 eps or rounding
+    stops it from falling.  The returned bracket is certified independently
+    of the path taken: any dual point gives the upper bound, and the
+    repaired X gives the lower bound.
     """
     _check_size(g)
     n = g.n
     ridx, cidx = np.nonzero(np.triu(g.adjacency, 1))
     m = len(ridx)
     ones = np.ones((n, n))
+    # constraints A_0 = I (right side 1) and A_e = E_e (right side 0)
+    b = np.zeros(1 + m)
+    b[0] = 1.0
 
-    def zmat(t: float, y: np.ndarray) -> np.ndarray:
-        z = t * np.eye(n) - ones
-        if m:
-            z[ridx, cidx] += y
-            z[cidx, ridx] += y
-        return z
+    def op(w: np.ndarray) -> np.ndarray:
+        """(<A_k, W>)_k."""
+        return np.concatenate([[np.trace(w)], w[ridx, cidx] + w[cidx, ridx]])
 
-    t = float(n + 1)
-    y = np.zeros(m)
-    eta = 1.0
-    target_eta = 2.0 * n / eps
+    def adjoint(v: np.ndarray) -> np.ndarray:
+        """sum_k v_k A_k."""
+        w = v[0] * np.eye(n)
+        w[ridx, cidx] += v[1:]
+        w[cidx, ridx] += v[1:]
+        return w
 
-    while True:
-        for _ in range(newton_per_stage):
-            z = zmat(t, y)
-            chol = np.linalg.cholesky(z)
-            zi = np.linalg.inv(z)
-            grad_t = eta - np.trace(zi)
-            grad = np.concatenate([[grad_t], -2.0 * zi[ridx, cidx]]) \
-                if m else np.array([grad_t])
-            hess = np.empty((1 + m, 1 + m))
-            zi2 = zi @ zi
-            hess[0, 0] = np.trace(zi2)
-            if m:
-                hess[0, 1:] = hess[1:, 0] = 2.0 * zi2[ridx, cidx]
-                hess[1:, 1:] = 2.0 * (zi[np.ix_(ridx, ridx)] * zi[np.ix_(cidx, cidx)]
-                                      + zi[np.ix_(ridx, cidx)] * zi[np.ix_(cidx, ridx)])
-            step = np.linalg.solve(hess, -grad)
-            decrement = float(-grad @ step)
-            f0 = eta * t - 2.0 * np.sum(np.log(np.diag(chol)))
-            alpha = 1.0
-            while alpha > 1e-13:
-                t_try = t + alpha * step[0]
-                y_try = y + alpha * step[1:]
-                z_try = zmat(t_try, y_try)
-                try:
-                    chol_try = np.linalg.cholesky(z_try)
-                except np.linalg.LinAlgError:
-                    alpha *= 0.5
-                    continue
-                f_try = eta * t_try - 2.0 * np.sum(np.log(np.diag(chol_try)))
-                if f_try <= f0 - 0.25 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            t = t + alpha * step[0]
-            y = y + alpha * step[1:]
-            if decrement < 1e-10:
-                break
-        if eta >= target_eta:
+    def max_step(chol: np.ndarray, d: np.ndarray) -> float:
+        """Largest alpha keeping L L^T + alpha d PSD (inf if unbounded)."""
+        s = solve_triangular(chol, d, lower=True)
+        s = solve_triangular(chol, s.T, lower=True)
+        lam = float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
+        return -1.0 / lam if lam < 0.0 else np.inf
+
+    x = np.eye(n) / n
+    v = np.zeros(1 + m)
+    v[0] = n + 1.0
+    z = adjoint(v) - ones
+    gap_xz = float(np.sum(x * z))
+    for _ in range(MAX_ITERATIONS):
+        if gap_xz < 1e-3 * eps:
             break
-        eta = min(eta * 20.0, target_eta)
+        mu = gap_xz / n
+        try:
+            lx = np.linalg.cholesky(x)
+            lz = np.linalg.cholesky(z)
+        except np.linalg.LinAlgError:
+            break
+        zi = cho_solve((lz, True), np.eye(n))
+        xz = x @ zi
+        schur = np.empty((1 + m, 1 + m))
+        schur[0, :] = schur[:, 0] = op(xz)
+        # M_ef = <E_e, X E_f Z^-1> for e = (a, b), f = (c, d) is
+        # X_bc Zi_ad + X_bd Zi_ac + X_ac Zi_bd + X_ad Zi_bc; the first and
+        # last terms are transposes of each other
+        xr, xc = x.take(ridx, axis=0), x.take(cidx, axis=0)
+        zr, zc = zi.take(ridx, axis=0), zi.take(cidx, axis=0)
+        block = schur[1:, 1:]
+        np.multiply(xc.take(ridx, axis=1), zc.take(ridx, axis=1).T, out=block)
+        block += block.T.copy()
+        block += xc.take(cidx, axis=1) * zr.take(ridx, axis=1)
+        block += xr.take(ridx, axis=1) * zc.take(cidx, axis=1)
+        # M is singular to working precision near the optimum of degenerate
+        # graphs; an exactly zero pivot ends the loop at the last iterate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                lu = lu_factor(schur, check_finite=False)
+            except LinAlgWarning:
+                break
+
+        def step(target: np.ndarray):
+            """HKM direction for dX Z + X dZ = target Z - X Z, and the step
+            length: 0.98 of the largest keeping X and Z PSD, at most 1."""
+            dv = lu_solve(lu, op(target) - b, check_finite=False)
+            dz = adjoint(dv)
+            dx = target - x - x @ dz @ zi
+            dx = 0.5 * (dx + dx.T)
+            # project out the solve's rounding so that X stays exactly
+            # feasible: zero on edges, trace one
+            dx[ridx, cidx] = dx[cidx, ridx] = 0.0
+            dx -= np.trace(dx) / n * np.eye(n)
+            alpha = min(1.0, 0.98 * max_step(lx, dx), 0.98 * max_step(lz, dz))
+            return dx, dv, dz, alpha
+
+        dx, dv, dz, alpha = step(np.zeros((n, n)))
+        mu_aff = float(np.sum((x + alpha * dx) * (z + alpha * dz))) / n
+        sigma = min(1.0, (mu_aff / mu) ** 3)
+        dx, dv, dz, alpha = step((sigma * mu * np.eye(n) - dx @ dz) @ zi)
+        x_new = x + alpha * dx
+        v_new = v + alpha * dv
+        z_new = adjoint(v_new) - ones
+        # with equal step lengths <X, Z> falls in exact arithmetic; when it
+        # does not, rounding has taken over and the last iterate is kept
+        gap_new = float(np.sum(x_new * z_new))
+        if not gap_new < gap_xz:
+            break
+        x, v, z, gap_xz = x_new, v_new, z_new, gap_new
+    y = v[1:]
 
     # certified bracket
-    z = zmat(t, y)
-    x = np.linalg.inv(z) / eta
     x = 0.5 * (x + x.T)
     if m:
         x[ridx, cidx] = 0.0
@@ -265,9 +305,9 @@ def bounds_report(g: OrthoGraph, eps: float = 1e-6) -> BoundsReport:
     cert = theta_certificate(g, eps)
     alpha_star, weights = fractional_packing(g)
     if not (alpha <= cert.upper + eps and cert.lower <= alpha_star + eps):
-        raise AssertionError(
+        raise NumericalFailure(
             f"sandwich violated: alpha={alpha}, theta in "
-            f"[{cert.lower}, {cert.upper}], alpha*={alpha_star}")
+            f"[{cert.lower}, {cert.upper}], alpha*={alpha_star}", cert.gap)
     return BoundsReport(alpha=alpha, theta=cert.value, alpha_star=alpha_star,
                         independent_set=witness, theta_gap=cert.gap,
                         theta_matrix=cert.primal_matrix,

@@ -190,6 +190,8 @@ def region_validity_mc(field: str, d: int, samples: int,
     Both counts must come back zero: the cap is too small for two orthogonal
     rays and the belt too small for a complete basis.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rc = RegionColoring(field=field, dimension=d)
     both_red = 0
     all_green = 0
@@ -214,6 +216,8 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rc = RegionColoring(field=REAL, dimension=d)
     full = 0
     for stream, size in enumerate(chunk_sizes(samples, CHUNK)):

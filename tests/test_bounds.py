@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,7 +11,9 @@ from ksray import (
     independence_number, kcbs5, lovasz_theta, maximal_cliques, ortho_graph,
     peres24, stream_rng, theta_certificate, three_cubes,
 )
-from ksray.bounds import TooLarge
+from ksray import bounds as bounds_mod
+from ksray.bounds import NumericalFailure, TooLarge
+from ksray.cli import run
 
 SQRT5 = math.sqrt(5.0)
 
@@ -95,6 +98,66 @@ def test_theta_disjoint_union_adds():
     assert abs(lovasz_theta(g) - 2 * SQRT5) < 1e-4
 
 
+def _complement(g):
+    return from_edges(g.n, [(i, j) for i, j in itertools.combinations(
+        range(g.n), 2) if not g.adjacency[i, j]], dimension=3)
+
+
+def _circulant(n, steps):
+    return from_edges(n, {tuple(sorted((i, (i + s) % n)))
+                          for i in range(n) for s in steps}, dimension=3)
+
+
+def _petersen():
+    return from_edges(10, [e for k in range(5) for e in (
+        (k, (k + 1) % 5), (5 + k, 5 + (k + 2) % 5), (k, 5 + k))], dimension=3)
+
+
+def _odd_cycle_theta(n):
+    c = math.cos(math.pi / n)
+    return n * c / (1.0 + c)
+
+
+ODD = (5, 7, 9, 11, 13)
+THETA_CLOSED_FORMS = (
+    [pytest.param([cycle_graph(n)], _odd_cycle_theta(n), id=f"C{n}")
+     for n in ODD]
+    + [pytest.param([_complement(cycle_graph(n))], n / _odd_cycle_theta(n),
+                    id=f"C{n}-bar") for n in ODD]
+    + [pytest.param([_petersen()], 4.0, id="petersen"),
+       pytest.param([_complement(_petersen())], 2.5, id="petersen-bar")]
+    # vertex-transitive: theta(G) theta(G-bar) = n
+    + [pytest.param([g, _complement(g)], float(g.n), id=name)
+       for name, g in (("C12(1,3)-pair", _circulant(12, (1, 3))),
+                       ("C17(1,2,4,8)-pair", _circulant(17, (1, 2, 4, 8))))])
+
+
+@pytest.mark.parametrize("graphs, value", THETA_CLOSED_FORMS)
+def test_theta_closed_forms(graphs, value):
+    """The product of the certified brackets contains the closed form."""
+    certs = [theta_certificate(g) for g in graphs]
+    assert all(c.gap <= 1e-6 for c in certs)
+    lower = math.prod(c.lower for c in certs)
+    upper = math.prod(c.upper for c in certs)
+    assert lower - 1e-9 <= value <= upper + 1e-9
+
+
+# G(n, p) upper triangles np.triu(default_rng(seed).random((n, n)) < p, 1),
+# chosen where a log-det barrier solver stopping at a gap of eps/2 missed
+# the 1e-6 target (seed 35 only under one BLAS thread)
+@pytest.mark.parametrize("n, p, seed", [
+    (32, 0.5, 55), (32, 0.5, 35), (64, 0.05, 6405),
+    (24, 0.1, 24105), (32, 0.1, 32107), (32, 0.3, 32307), (40, 0.1, 40106),
+    (40, 0.1, 40107), (40, 0.1, 40109), (48, 0.1, 48102), (48, 0.1, 48104),
+    (48, 0.1, 48109), (48, 0.2, 48204),
+])
+def test_theta_certifies_random_graphs(n, p, seed):
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    g = from_edges(n, list(zip(*np.nonzero(upper))), dimension=3)
+    cert = theta_certificate(g, eps=1e-6)
+    assert cert.lower <= cert.upper and cert.gap <= 1e-6
+
+
 def test_theta_monotone_under_edge_deletion():
     full = lovasz_theta(cycle_graph(5))
     minus = lovasz_theta(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
@@ -144,6 +207,20 @@ def test_bounds_report_k3():
     assert rep.alpha == 1
     assert abs(rep.theta - 1.0) < 1e-5
     assert abs(rep.alpha_star - 1.0) < 1e-9
+
+
+def test_bounds_report_sandwich_failure_is_numerical(monkeypatch):
+    real = bounds_mod.theta_certificate
+
+    def broken(g, eps=1e-6):
+        cert = real(g, eps)
+        return dataclasses.replace(cert, lower=cert.lower + 1.0,
+                                   upper=cert.upper + 1.0)
+
+    monkeypatch.setattr(bounds_mod, "theta_certificate", broken)
+    with pytest.raises(NumericalFailure, match="sandwich"):
+        bounds_report(cycle_graph(5))
+    assert run(["bounds", "--set", "kcbs5"]) == 1
 
 
 def test_sandwich_on_catalog_graphs():

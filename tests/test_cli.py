@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from ksray import graph_from_json, load_rayset
 from ksray.cli import run
 
@@ -163,3 +165,13 @@ def test_unknown_file_exit_code(tmp_path, capsys):
 def test_missing_set_exit_code(capsys):
     code, _, err = capture(capsys, ["graph"])
     assert code == 2 and "no ray set" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "bases", "--dim", "4", "--mc", "0"],
+    ["measure", "validity", "--field", "real", "--dim", "3", "--mc", "0"],
+])
+def test_measure_zero_samples_exit_code(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: samples must be >= 1"]
