@@ -152,16 +152,28 @@ def _print_estimate(est: measure.MCEstimate, as_json: bool) -> None:
               f"samples: {est.samples} seed: {est.seed}")
 
 
+def _parse_scan(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise rays.ParseError(f"--scan must be LO:HI, got {text!r}") from None
+    if not 2 <= lo <= hi:
+        raise rays.ParseError(f"--scan needs 2 <= LO <= HI, got {text!r}")
+    return lo, hi
+
+
 def cmd_measure(args) -> int:
     if args.measure_cmd == "fraction":
         if args.scan:
-            lo, hi = (int(x) for x in args.scan.split(":"))
+            lo, hi = _parse_scan(args.scan)
             fn = (measure.colored_fraction_real if args.field == "real"
                   else measure.colored_fraction_complex)
             print("dimension,fraction")
             for d in range(lo, hi + 1):
                 print(f"{d},{_fmt(fn(d))}")
             return 0
+        if args.dim is None:
+            raise rays.ParseError("measure fraction needs --dim or --scan")
         exact = (measure.colored_fraction_real(args.dim)
                  if args.field == "real"
                  else measure.colored_fraction_complex(args.dim))
@@ -263,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--json", action="store_true")
     q.add_argument("--scan", metavar="LO:HI",
-                   help="CSV of closed-form values for a dimension range "
-                        "(columns: dimension, fraction)")
+                   help="CSV of closed-form values for dimensions LO..HI, "
+                        "2 <= LO <= HI (columns: dimension, fraction)")
     q.set_defaults(fn=cmd_measure)
 
     q = msub.add_parser("bases", help="fraction of fully colored real bases")

@@ -5,6 +5,12 @@ Real case: a ray is Red when |x_0| > 1/sqrt(2) (polar cap) and Green when
 p_0 > 1/2 and Green when p_0 < 1/d with p_0 the squared modulus of the
 first component.  The boundaries are excluded: two orthogonal rays can sit
 exactly on the cap boundary, and the boundary set has measure zero anyway.
+
+The basis measures classify each member of a Haar basis by its first
+coordinate.  Those d first coordinates are the first row of a Haar unitary,
+which by transpose invariance is itself a uniform ray, so the Monte Carlo
+draws rays, not bases.  `sample_bases` draws whole Haar bases; the tests
+check the reduction against it.
 """
 
 from __future__ import annotations
@@ -134,26 +140,16 @@ def sample_ray(field: str, d: int, rng) -> Ray:
 def sample_bases(field: str, d: int, n: int, rng) -> np.ndarray:
     """n Haar orthonormal bases, shape (n, d, d), basis vectors in columns.
 
-    Modified Gram-Schmidt on an i.i.d. Gaussian matrix; the normalization
-    against positive norms is exactly the positive-diagonal convention that
-    makes the distribution Haar.  Two orthogonalization passes keep the
-    columns orthonormal to machine precision.
+    QR of an i.i.d. Gaussian matrix, with the phase of each diagonal entry
+    of R moved into Q (Mezzadri, Notices AMS 54, 2007): that is the
+    positive-diagonal convention that makes the distribution Haar.  An
+    exactly zero r_ii has measure zero and keeps phase 1.
     """
-    A = _gaussian(rng, n, d * d, field).reshape(n, d, d)
-    Q = np.empty_like(A)
-    for j in range(d):
-        v = A[:, :, j].copy()
-        for _ in range(2):
-            for k in range(j):
-                proj = np.einsum("ni,ni->n", Q[:, :, k].conj(), v)
-                v = v - proj[:, None] * Q[:, :, k]
-        norms = np.linalg.norm(v, axis=1)
-        bad = norms < 1e-12
-        if np.any(bad):  # essentially impossible, but stay deterministic
-            v[bad] = _gaussian(rng, int(bad.sum()), d, field)
-            norms = np.linalg.norm(v, axis=1)
-        Q[:, :, j] = v / norms[:, None]
-    return Q
+    Q, R = np.linalg.qr(_gaussian(rng, n, d * d, field).reshape(n, d, d))
+    r = np.diagonal(R, axis1=1, axis2=2)
+    absr = np.abs(r)
+    phase = np.divide(r, absr, out=np.ones_like(r), where=absr > 0)
+    return Q * phase[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +161,14 @@ def _first_weight(g: np.ndarray, field: str) -> np.ndarray:
     if field == REAL:
         return np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
     return np.abs(g[:, 0]) ** 2 / np.sum(np.abs(g) ** 2, axis=1)
+
+
+def _weights(g: np.ndarray, field: str) -> np.ndarray:
+    """|x_j| (real) or p_j (complex) of every coordinate of Gaussian rows."""
+    if field == REAL:
+        return np.abs(g) / np.linalg.norm(g, axis=1, keepdims=True)
+    p = np.abs(g) ** 2
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def mc_colored_fraction(field: str, d: int, samples: int,
@@ -186,9 +190,13 @@ def region_validity_mc(field: str, d: int, samples: int,
                        seed: int) -> tuple[int, int]:
     """Counts of (both-Red orthogonal pairs, all-Green bases) over Haar bases.
 
-    Every pair inside a sampled orthonormal basis is an orthogonal pair.
-    Both counts must come back zero: the cap is too small for two orthogonal
-    rays and the belt too small for a complete basis.
+    Take a Haar basis as the columns of a unitary Q.  Every pair inside it is
+    an orthogonal pair, and member j is Red or Green by its first coordinate
+    Q[0, j].  By transpose invariance of the Haar measure, that first row is
+    itself a uniform ray, so each sample draws one ray and classifies its
+    d coordinate weights.  Both counts must come back zero: the cap is too
+    small for two orthogonal rays and the belt too small for a complete
+    basis.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -197,9 +205,7 @@ def region_validity_mc(field: str, d: int, samples: int,
     all_green = 0
     for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
         rng = stream_rng(seed, stream)
-        Q = sample_bases(field, d, size, rng)
-        first = np.abs(Q[:, 0, :])
-        w = first if field == REAL else first ** 2
+        w = _weights(_gaussian(rng, size, d, field), field)
         red = w > rc.cap_threshold
         green = w < rc.belt_threshold
         reds = red.sum(axis=1)
@@ -211,8 +217,11 @@ def region_validity_mc(field: str, d: int, samples: int,
 def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     """Fraction of Haar real bases whose members are all Red or Green.
 
-    A fully colored basis automatically holds exactly one Red member; this
-    is asserted inside the loop as a side check.
+    Member j of a basis is classified by its first coordinate, and the first
+    coordinates of a Haar basis form a uniform ray (transpose invariance), so
+    each sample is one uniform ray whose coordinates are all in the cap or
+    the belt.  A fully colored basis automatically holds exactly one Red
+    member; this is asserted inside the loop as a side check.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -222,8 +231,7 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     full = 0
     for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
         rng = stream_rng(seed, stream)
-        Q = sample_bases(REAL, d, size, rng)
-        w = np.abs(Q[:, 0, :])
+        w = _weights(_gaussian(rng, size, d, REAL), REAL)
         red = w > rc.cap_threshold
         green = w < rc.belt_threshold
         fully = (red | green).all(axis=1)

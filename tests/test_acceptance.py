@@ -88,9 +88,9 @@ def test_criterion_04_basis_fractions():
     d3 = basis_colored_fraction_mc(3, 10 ** 6, seed=2104)
     assert abs(d3.value - 0.69) <= 0.01, d3
     d4 = basis_colored_fraction_mc(4, 10 ** 6, seed=2105)
-    # required: 0.34 +- 0.01.  The defined cap-belt region yields 0.4530
-    # in dimension four (three independent samplers agree); the requirement
-    # is asserted unchanged.
+    # required: 0.34 +- 0.01.  The defined cap-belt region yields 0.45255
+    # in dimension four (quadrature oracle in test_measure.py); the
+    # requirement is asserted unchanged.
     assert abs(d4.value - 0.34) <= 0.01, (
         f"measured {d4.value:.4f} +- {d4.stderr:.4f}, required 0.34 +- 0.01")
 

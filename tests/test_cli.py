@@ -175,3 +175,21 @@ def test_measure_zero_samples_exit_code(capsys, argv):
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: samples must be >= 1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["measure", "fraction", "--field", "real"],
+     "error: measure fraction needs --dim or --scan"),
+    (["measure", "fraction", "--field", "real", "--scan", "1:3"],
+     "error: --scan needs 2 <= LO <= HI, got '1:3'"),
+    (["measure", "fraction", "--field", "complex", "--scan", "5:4"],
+     "error: --scan needs 2 <= LO <= HI, got '5:4'"),
+    (["measure", "fraction", "--field", "real", "--scan", "3"],
+     "error: --scan must be LO:HI, got '3'"),
+    (["measure", "fraction", "--field", "real", "--scan", "2:x"],
+     "error: --scan must be LO:HI, got '2:x'"),
+])
+def test_measure_fraction_bad_range_exit_code(capsys, argv, message):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]

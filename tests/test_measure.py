@@ -148,6 +148,40 @@ def test_sample_bases_orthonormal():
         assert np.abs(eye - np.eye(4)).max() < 1e-12
 
 
+def test_sample_bases_sign_convention():
+    # Householder QR alone leaves Q[:, 0, 0] one-signed; the phase fix makes
+    # the first entry of a Haar basis symmetric about zero
+    x = sample_bases(REAL, 3, 20_000, stream_rng(1111, 0))[:, 0, 0]
+    assert abs(x.mean()) < 4 * x.std() / math.sqrt(len(x))
+
+
+class _ZeroNormals:
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_sample_bases_zero_pivot_keeps_phase_one():
+    for field in (REAL, COMPLEX):
+        Q = sample_bases(field, 3, 2, _ZeroNormals())
+        assert np.isfinite(Q).all()
+        eye = np.einsum("nij,nik->njk", Q.conj(), Q)
+        assert np.abs(eye - np.eye(3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_haar_bases_obey_region_rules(field, d):
+    # row i of Q classifies the basis by coordinate i, and column j
+    # classifies the standard basis against the axis q_j; either way the d
+    # weights belong to one orthonormal basis: no two Red, never all Green
+    rc = RegionColoring(field, d)
+    Q = sample_bases(field, d, 20_000, stream_rng(1212, d))
+    a = np.abs(np.concatenate([Q, Q.transpose(0, 2, 1)], axis=1))
+    w = (a if field == REAL else a ** 2).reshape(-1, d)
+    assert (w > rc.cap_threshold).sum(axis=1).max() <= 1
+    assert not (w < rc.belt_threshold).all(axis=1).any()
+
+
 # --- Monte Carlo fractions ------------------------------------------------------
 
 @pytest.mark.parametrize("field,d", [(REAL, 3), (REAL, 4), (REAL, 9),
@@ -198,6 +232,52 @@ def test_basis_fraction_d3_against_marginal_oracle():
     se = math.sqrt(est.value * (1 - est.value) / est.samples
                    + oracle * (1 - oracle) / 400_000)
     assert abs(est.value - oracle) < 4 * se
+
+
+def _basis_fraction_quadrature(d: int) -> float:
+    """d P(x_1^2 > 1/2, x_j^2 < 1/d for j >= 2), x uniform on S^(d-1), d = 3, 4.
+
+    Given x_1 = x, the rest is sqrt(1 - x^2) y with y uniform on S^(d-2), and
+    the belt asks |y_j| < c = 1/sqrt(d (1 - x^2)).  For x^2 > 1/2, c > 1/sqrt2,
+    so at most one |y_j| reaches c: the belt holds with probability
+    1 - (d-1) P(|y_1| >= c), where P(|y_1| >= c) is (2/pi) arccos c on the
+    circle and 1 - c on S^2 (Archimedes).  x_1 has density proportional to
+    (1 - x^2)^((d-3)/2), and the belt always holds once c >= 1.
+    """
+    tail = {3: lambda c: 2 * math.acos(c) / math.pi, 4: lambda c: 1 - c}[d]
+
+    def density(x):
+        return (1 - x * x) ** ((d - 3) / 2)
+
+    def integrand(x):
+        c = 1 / math.sqrt(d * (1 - x * x))
+        return density(x) * (1 - (d - 1) * tail(c) if c < 1 else 1)
+
+    kink = math.sqrt(1 - 1 / d)  # c = 1
+    cap = sum(integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
+              for lo, hi in ((1 / SQ2, kink), (kink, 1)))
+    norm, _ = integrate.quad(density, 0, 1, epsabs=1e-13, epsrel=1e-13)
+    return d * cap / norm
+
+
+@pytest.mark.parametrize("d,reference", [(3, 0.69575947), (4, 0.45255457)])
+def test_basis_fraction_against_quadrature(d, reference):
+    # reference: the same integral in 30-digit mpmath arithmetic, rounded
+    exact = _basis_fraction_quadrature(d)
+    assert abs(exact - reference) < 1e-8
+    est = basis_colored_fraction_mc(d, 10 ** 6, seed=707)
+    assert abs(est.value - exact) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_basis_fraction_against_haar_first_rows(d):
+    # the ray-sampled estimate must match classifying actual Haar bases
+    n = 200_000
+    a = np.abs(sample_bases(REAL, d, n, stream_rng(1313, d))[:, 0, :])
+    haar = ((a > 1 / SQ2) | (a < 1 / math.sqrt(d))).all(axis=1).mean()
+    est = basis_colored_fraction_mc(d, n, seed=1314)
+    se = math.sqrt(est.value * (1 - est.value) / n + haar * (1 - haar) / n)
+    assert abs(est.value - haar) < 4 * se
 
 
 # --- separable quadrants --------------------------------------------------------
