@@ -2,9 +2,9 @@
 and cap-and-belt coloring measures."""
 
 from .rays import (
-    Ray, RaySet, canonicalize, build_rayset,
+    Ray, RaySet, canonicalize, build_rayset, CATALOGS,
     cube13, peres24, three_cubes, kcbs5, ceg18, cube_members,
-    load_rayset, save_rayset, rayset_to_json,
+    load_rayset, rayset_to_json,
     ZeroVector, FieldMismatch, ParseError, InvariantViolation,
     REAL, COMPLEX,
 )
@@ -12,11 +12,11 @@ from .ortho import (
     OrthoGraph, ortho_graph, from_edges, cycle_graph, complete_graph,
     empty_graph, maximal_cliques, complete_bases, basis_incidence,
     realize, unbiased_basis_triples, graph_to_json, graph_from_json,
-    NonConvergence,
+    NonConvergence, TooLarge,
 )
 from .kscolor import (
     Color, KSVerdict, ParityCertificate, ExhaustionProof,
-    ks_solve, verify_coloring, count_colorings, TooLarge,
+    ks_solve, verify_coloring, count_colorings,
 )
 from .bounds import (
     BoundsReport, ThetaCertificate, independence_number, lovasz_theta,

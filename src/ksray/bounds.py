@@ -17,14 +17,10 @@ from scipy.linalg import (LinAlgWarning, cho_solve, lu_factor, lu_solve,
                           solve_triangular)
 from scipy.optimize import linprog
 
-from .ortho import OrthoGraph, maximal_cliques
+from .ortho import OrthoGraph, TooLarge, maximal_cliques
 
 SIZE_GUARD = 64
 MAX_ITERATIONS = 100
-
-
-class TooLarge(ValueError):
-    """Graph above the exact-solver guard of 64 vertices."""
 
 
 class NumericalFailure(RuntimeError):

@@ -8,6 +8,7 @@ fixed argv (including seeds) is byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -15,8 +16,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import kscolor, measure, operators, ortho, rays
-
-CATALOG_NAMES = ("cube13", "peres24", "three-cubes", "kcbs5", "ceg18")
 
 
 def _resolve_set(args) -> rays.RaySet:
@@ -27,21 +26,16 @@ def _resolve_set(args) -> rays.RaySet:
     name = args.set
     if name is None:
         raise rays.ParseError("no ray set given; use --set or --file")
-    if name == "cube13":
-        return rays.cube13()
-    if name == "peres24":
-        return rays.peres24()
-    if name == "three-cubes":
-        return rays.three_cubes(getattr(args, "phase", 0.0))
-    if name == "kcbs5":
-        return rays.kcbs5()
-    if name == "ceg18":
-        return rays.ceg18()
-    raise rays.ParseError(f"unknown set {name!r}; choices: {', '.join(CATALOG_NAMES)}")
+    make = rays.CATALOGS.get(name)
+    if make is None:
+        raise rays.ParseError(
+            f"unknown set {name!r}; choices: {', '.join(rays.CATALOGS)}")
+    return make(args.phase) if make is rays.three_cubes else make()
 
 
 def _add_set_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", choices=CATALOG_NAMES, help="named catalog set")
+    p.add_argument("--set", choices=tuple(rays.CATALOGS),
+                   help="named catalog set")
     p.add_argument("--phase", type=float, default=0.0,
                    help="free phase for three-cubes (default 0)")
     p.add_argument("--file", help="ray-set file (overrides --set)")
@@ -53,7 +47,7 @@ def _fmt(x: float) -> str:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        for name in CATALOG_NAMES:
+        for name in rays.CATALOGS:
             print(name)
         return 0
     rs = _resolve_set(argparse.Namespace(set=args.name, phase=args.phase,
@@ -162,66 +156,69 @@ def _parse_scan(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_measure(args) -> int:
-    if args.measure_cmd == "fraction":
-        if args.scan:
-            lo, hi = _parse_scan(args.scan)
-            fn = (measure.colored_fraction_real if args.field == "real"
-                  else measure.colored_fraction_complex)
-            print("dimension,fraction")
-            for d in range(lo, hi + 1):
-                print(f"{d},{_fmt(fn(d))}")
-            return 0
-        if args.dim is None:
-            raise rays.ParseError("measure fraction needs --dim or --scan")
-        exact = (measure.colored_fraction_real(args.dim)
-                 if args.field == "real"
-                 else measure.colored_fraction_complex(args.dim))
-        if args.mc:
-            est = measure.mc_colored_fraction(args.field, args.dim, args.mc,
-                                              args.seed)
-            if args.json:
-                print(json.dumps({"closed_form": exact, "value": est.value,
-                                  "stderr": est.stderr, "samples": est.samples,
-                                  "seed": est.seed}, sort_keys=True))
-            else:
-                print(f"closed form: {_fmt(exact)}")
-                _print_estimate(est, False)
-        elif args.json:
-            print(json.dumps({"closed_form": exact}, sort_keys=True))
+def cmd_fraction(args) -> int:
+    fn = (measure.colored_fraction_real if args.field == "real"
+          else measure.colored_fraction_complex)
+    if args.scan:
+        lo, hi = _parse_scan(args.scan)
+        print("dimension,fraction")
+        for d in range(lo, hi + 1):
+            print(f"{d},{_fmt(fn(d))}")
+        return 0
+    if args.dim is None:
+        raise rays.ParseError("measure fraction needs --dim or --scan")
+    exact = fn(args.dim)
+    if args.mc:
+        est = measure.mc_colored_fraction(args.field, args.dim, args.mc,
+                                          args.seed)
+        if args.json:
+            print(json.dumps({"closed_form": exact, "value": est.value,
+                              "stderr": est.stderr, "samples": est.samples,
+                              "seed": est.seed}, sort_keys=True))
         else:
             print(f"closed form: {_fmt(exact)}")
-        return 0
-    if args.measure_cmd == "bases":
-        est = measure.basis_colored_fraction_mc(args.dim, args.mc, args.seed)
-        _print_estimate(est, args.json)
-        return 0
-    if args.measure_cmd == "validity":
-        both_red, all_green = measure.region_validity_mc(
-            args.field, args.dim, args.mc, args.seed)
-        if args.json:
-            print(json.dumps({"both_red_pairs": both_red,
-                              "all_green_bases": all_green,
-                              "samples": args.mc, "seed": args.seed},
-                             sort_keys=True))
-        else:
-            print(f"both-red orthogonal pairs: {both_red}")
-            print(f"all-green bases: {all_green}")
-            print(f"samples: {args.mc} seed: {args.seed}")
-        return 0
-    if args.measure_cmd == "separable":
-        violations = measure.separable_validity_mc(args.mc, args.seed)
-        if args.json:
-            print(json.dumps({"same_quadrant_pairs": violations,
-                              "samples": args.mc, "seed": args.seed},
-                             sort_keys=True))
-        else:
-            print(f"same-quadrant orthogonal pairs: {violations}")
-            print(f"samples: {args.mc} seed: {args.seed}")
-        return 0
-    raise rays.ParseError(f"unknown measure command {args.measure_cmd!r}")
+            _print_estimate(est, False)
+    elif args.json:
+        print(json.dumps({"closed_form": exact}, sort_keys=True))
+    else:
+        print(f"closed form: {_fmt(exact)}")
+    return 0
 
 
+def cmd_bases(args) -> int:
+    est = measure.basis_colored_fraction_mc(args.dim, args.mc, args.seed)
+    _print_estimate(est, args.json)
+    return 0
+
+
+def cmd_validity(args) -> int:
+    both_red, all_green = measure.region_validity_mc(
+        args.field, args.dim, args.mc, args.seed)
+    if args.json:
+        print(json.dumps({"both_red_pairs": both_red,
+                          "all_green_bases": all_green,
+                          "samples": args.mc, "seed": args.seed},
+                         sort_keys=True))
+    else:
+        print(f"both-red orthogonal pairs: {both_red}")
+        print(f"all-green bases: {all_green}")
+        print(f"samples: {args.mc} seed: {args.seed}")
+    return 0
+
+
+def cmd_separable(args) -> int:
+    violations = measure.separable_validity_mc(args.mc, args.seed)
+    if args.json:
+        print(json.dumps({"same_quadrant_pairs": violations,
+                          "samples": args.mc, "seed": args.seed},
+                         sort_keys=True))
+    else:
+        print(f"same-quadrant orthogonal pairs: {violations}")
+        print(f"samples: {args.mc} seed: {args.seed}")
+    return 0
+
+
+@functools.cache  # one tree per process: building it costs more than most runs
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ksray",
@@ -277,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--scan", metavar="LO:HI",
                    help="CSV of closed-form values for dimensions LO..HI, "
                         "2 <= LO <= HI (columns: dimension, fraction)")
-    q.set_defaults(fn=cmd_measure)
+    q.set_defaults(fn=cmd_fraction)
 
     q = msub.add_parser("bases", help="fraction of fully colored real bases")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--mc", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=cmd_measure)
+    q.set_defaults(fn=cmd_bases)
 
     q = msub.add_parser("validity", help="cap/belt rule violations over bases")
     q.add_argument("--field", choices=("real", "complex"), required=True)
@@ -292,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mc", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=cmd_measure)
+    q.set_defaults(fn=cmd_validity)
 
     q = msub.add_parser("separable", help="separable-quadrant validity check")
     q.add_argument("--mc", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=cmd_measure)
+    q.set_defaults(fn=cmd_separable)
 
     return top
 
@@ -312,9 +309,7 @@ def run(argv=None) -> int:
         args.name = args.name.replace("_", "-")
     try:
         return args.fn(args)
-    except (rays.ParseError, rays.InvariantViolation, rays.ZeroVector,
-            rays.FieldMismatch, operators.InvalidAssignment, kscolor.TooLarge,
-            bounds_mod.TooLarge, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ortho.NonConvergence, bounds_mod.NumericalFailure) as exc:

@@ -10,16 +10,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .ortho import OrthoGraph, basis_incidence, complete_bases, from_edges
+from .ortho import (OrthoGraph, TooLarge, basis_incidence, complete_bases,
+                    from_edges)
 
 
 class Color(enum.Enum):
     RED = "R"
     GREEN = "G"
-
-
-class TooLarge(ValueError):
-    """Vertex count above the exhaustive-counting guard."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,7 @@ class _Searcher:
         self.color: list[Color | None] = [None] * g.n
         self.trail: list[int] = []
         self.nodes = 0
+        self.witness: tuple[Color, ...] | None = None
 
     def _propagate(self, queue: list[int]) -> bool:
         while queue:
@@ -112,26 +110,16 @@ class _Searcher:
         while len(self.trail) > mark:
             self.color[self.trail.pop()] = None
 
-    def find_witness(self) -> tuple[Color, ...] | None:
-        self.nodes += 1
-        v = next((u for u in self.order if self.color[u] is None), None)
-        if v is None:
-            return tuple(self.color)
-        for c in (Color.RED, Color.GREEN):
-            mark = len(self.trail)
-            self.color[v] = c
-            self.trail.append(v)
-            if self._propagate([v]):
-                found = self.find_witness()
-                if found is not None:
-                    return found
-            self._undo(mark)
-        return None
+    def search(self, limit: int | None = None) -> int:
+        """Count total colorings, stopping once limit of them are found.
 
-    def count(self) -> int:
+        The first coloring reached is kept in self.witness.
+        """
         self.nodes += 1
         v = next((u for u in self.order if self.color[u] is None), None)
         if v is None:
+            if self.witness is None:
+                self.witness = tuple(self.color)
             return 1
         total = 0
         for c in (Color.RED, Color.GREEN):
@@ -139,8 +127,10 @@ class _Searcher:
             self.color[v] = c
             self.trail.append(v)
             if self._propagate([v]):
-                total += self.count()
+                total += self.search(limit)
             self._undo(mark)
+            if limit is not None and total >= limit:
+                break
         return total
 
 
@@ -166,9 +156,8 @@ def ks_solve(g: OrthoGraph, bases=None) -> KSVerdict:
     if cert is not None:
         return KSVerdict(colorable=False, certificate=cert)
     searcher = _Searcher(g, bases)
-    witness = searcher.find_witness()
-    if witness is not None:
-        return KSVerdict(colorable=True, witness=witness)
+    if searcher.search(limit=1):
+        return KSVerdict(colorable=True, witness=searcher.witness)
     return KSVerdict(colorable=False,
                      certificate=ExhaustionProof(nodes_explored=searcher.nodes))
 
@@ -218,5 +207,4 @@ def count_colorings(g: OrthoGraph, bases=None) -> int:
     h = from_edges(len(sub), [(remap[i], remap[j]) for i, j in g.edges],
                    g.dimension)
     hbases = [tuple(remap[v] for v in b) for b in bases]
-    searcher = _Searcher(h, hbases)
-    return searcher.count() * (2 ** len(free))
+    return _Searcher(h, hbases).search() * (2 ** len(free))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .rays import COMPLEX, REAL, Ray, canonicalize
-from .rng import CHUNK, chunk_sizes, stream_rng
+from .rays import COMPLEX, REAL, Ray, _canonical_rows, canonicalize
+from .rng import CHUNK, chunk_sizes, gaussian_rows, stream_rng
 
 
 class Region(enum.Enum):
@@ -116,25 +116,15 @@ def _proportion(count: int, samples: int, seed: int) -> MCEstimate:
 # uniform sampling
 
 
-def _gaussian(rng, n: int, d: int, field: str) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    if field == COMPLEX:
-        g = g + 1j * rng.standard_normal((n, d))
-    return g
-
-
 def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
     """n uniform rays as rows, canonicalized; normalized Gaussian vectors."""
-    g = _gaussian(rng, n, d, field)
-    g = g / np.linalg.norm(g, axis=1, keepdims=True)
-    lead = g[np.arange(n), np.argmax(np.abs(g) > 1e-12, axis=1)]
-    g = g * (lead.conj() / np.abs(lead))[:, None]
-    return g.real if field == REAL else g
+    rows = _canonical_rows(gaussian_rows(rng, n, d, field), field)
+    return rows.real if field == REAL else rows
 
 
 def sample_ray(field: str, d: int, rng) -> Ray:
     """One uniform (Fubini-Study for complex, spherical for real) ray."""
-    return canonicalize(sample_rays(field, d, 1, rng)[0], field)
+    return canonicalize(gaussian_rows(rng, 1, d, field)[0], field)
 
 
 def sample_bases(field: str, d: int, n: int, rng) -> np.ndarray:
@@ -145,7 +135,7 @@ def sample_bases(field: str, d: int, n: int, rng) -> np.ndarray:
     positive-diagonal convention that makes the distribution Haar.  An
     exactly zero r_ii has measure zero and keeps phase 1.
     """
-    Q, R = np.linalg.qr(_gaussian(rng, n, d * d, field).reshape(n, d, d))
+    Q, R = np.linalg.qr(gaussian_rows(rng, n, d * d, field).reshape(n, d, d))
     r = np.diagonal(R, axis1=1, axis2=2)
     absr = np.abs(r)
     phase = np.divide(r, absr, out=np.ones_like(r), where=absr > 0)
@@ -180,7 +170,7 @@ def mc_colored_fraction(field: str, d: int, samples: int,
     colored = 0
     for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
         rng = stream_rng(seed, stream)
-        w = _first_weight(_gaussian(rng, size, d, field), field)
+        w = _first_weight(gaussian_rows(rng, size, d, field), field)
         colored += int(((w > rc.cap_threshold)
                         | (w < rc.belt_threshold)).sum())
     return _proportion(colored, samples, seed)
@@ -205,7 +195,7 @@ def region_validity_mc(field: str, d: int, samples: int,
     all_green = 0
     for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
         rng = stream_rng(seed, stream)
-        w = _weights(_gaussian(rng, size, d, field), field)
+        w = _weights(gaussian_rows(rng, size, d, field), field)
         red = w > rc.cap_threshold
         green = w < rc.belt_threshold
         reds = red.sum(axis=1)
@@ -231,7 +221,7 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     full = 0
     for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
         rng = stream_rng(seed, stream)
-        w = _weights(_gaussian(rng, size, d, REAL), REAL)
+        w = _weights(gaussian_rows(rng, size, d, REAL), REAL)
         red = w > rc.cap_threshold
         green = w < rc.belt_threshold
         fully = (red | green).all(axis=1)

@@ -93,7 +93,10 @@ class QuantumStrategy:
         psi = np.asarray(self.state, dtype=np.complex128).reshape(-1)
         if psi.size != 3:
             raise ValueError("state must have 3 components")
-        psi = psi / np.linalg.norm(psi)
+        norm = np.linalg.norm(psi)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise ValueError(f"state norm {norm:g} is not finite and positive")
+        psi = psi / norm
         M = kcbs5().matrix
         return np.abs(M.conj() @ psi) ** 2
 

@@ -8,8 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import COMPLEX, REAL, InvariantViolation, RaySet, build_rayset
-from .rng import stream_rng
+from .rays import REAL, InvariantViolation, RaySet, build_rayset
+from .rng import gaussian_rows, stream_rng
+
+
+class TooLarge(ValueError):
+    """Vertex count above the size guard of an exhaustive method."""
 
 
 class NonConvergence(RuntimeError):
@@ -176,12 +180,6 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 10_000,
     def residual(V: np.ndarray) -> float:
         return float(sum(abs(np.vdot(V[i], V[j])) ** 2 for i, j in edges))
 
-    def fresh(rng, count: int) -> np.ndarray:
-        w = rng.standard_normal((count, d))
-        if field == COMPLEX:
-            w = w + 1j * rng.standard_normal((count, d))
-        return w
-
     def polish(V: np.ndarray, rng, sweeps: int) -> None:
         # the span must be taken rank-revealingly: with d or more
         # neighbors a plain QR would return all of C^d and kill the vector
@@ -194,7 +192,7 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 10_000,
                 w = V[v] - q @ (q.conj().T @ V[v])
                 norm = np.linalg.norm(w)
                 if norm < 1e-8:
-                    w = fresh(rng, 1)[0]
+                    w = gaussian_rows(rng, 1, d, field)[0]
                     norm = np.linalg.norm(w)
                 V[v] = w / norm
             if residual(V) < 1e-26:
@@ -202,7 +200,7 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 10_000,
 
     for attempt in range(restarts):
         rng = stream_rng(seed, attempt)
-        V = fresh(rng, g.n)
+        V = gaussian_rows(rng, g.n, d, field)
         gram = V @ V.conj().T
         converged = False
         for _ in range(max_sweeps):
@@ -223,7 +221,8 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 10_000,
         norms = np.linalg.norm(V, axis=1)
         degenerate = norms < 1e-6
         if np.any(degenerate):
-            V[degenerate] = fresh(rng, int(degenerate.sum()))
+            V[degenerate] = gaussian_rows(rng, int(degenerate.sum()), d,
+                                           field)
             norms = np.linalg.norm(V, axis=1)
         V /= norms[:, None]
         if converged:
@@ -246,9 +245,9 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 10_000,
         res = residual(V)
         best_res = min(best_res, res)
         if res < 1e-10:
-            vecs = [V[k].real if field == REAL else V[k] for k in range(g.n)]
             try:
-                return build_rayset(vecs, field, g.vertex_labels)
+                return build_rayset(V.real if field == REAL else V, field,
+                                    g.vertex_labels)
             except InvariantViolation:
                 continue  # coincident rays cannot populate a RaySet
     raise NonConvergence(

@@ -53,100 +53,123 @@ class Ray:
     def inner(self, other: "Ray") -> complex:
         return complex(np.vdot(self.components, other.components))
 
-    def is_orthogonal(self, other: "Ray", tol: float = 1e-9) -> bool:
-        return abs(self.inner(other)) < tol
 
-    def same_ray(self, other: "Ray", tol: float = DUP_TOL) -> bool:
-        return abs(self.inner(other)) > 1.0 - tol
+def _canonical_rows(M, field: str) -> np.ndarray:
+    """Canonical form of each row of an (n, d) array, as a new complex array.
 
-    def projector(self) -> np.ndarray:
-        v = self.components
-        return np.outer(v, v.conj())
+    Each row is divided by its norm and then by the phase of its first
+    component above 1e-12, which is then set exactly real; in the real field
+    only the real parts are kept.  The first row that is not finite, has an
+    imaginary part in the real field, or has norm at most 1e-12 raises
+    InvariantViolation with its index, chained to the ValueError,
+    FieldMismatch or ZeroVector that names the problem.
+    """
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field {field!r}")
+    M = np.asarray(M, dtype=np.complex128)
+    if M.ndim != 2 or M.size == 0 or M.shape[1] < 2:
+        raise ValueError("rays need at least 2 components each, "
+                         f"got shape {M.shape}")
+    # np.linalg.norm of each row, bit for bit: the same two dot products
+    re, im = M.real[:, None, :], M.imag[:, None, :]
+    norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    imaginary = np.any(M.imag != 0.0, axis=1) & (field == REAL)
+    bad = np.flatnonzero(~np.isfinite(norms) | imaginary | (norms <= NORM_TOL))
+    if bad.size:
+        k = int(bad[0])
+        if not np.isfinite(norms[k]):
+            exc = ValueError(f"norm {norms[k]:g} is not finite")
+        elif imaginary[k]:
+            exc = FieldMismatch("real field with nonzero imaginary part")
+        else:
+            exc = ZeroVector(f"norm {norms[k]:g} <= {NORM_TOL:g}")
+        raise InvariantViolation(f"ray {k}: {exc}", index=k) from exc
+    V = M / norms[:, None]
+    # np.hypot rounds as abs() of one complex scalar does; np.abs on a
+    # complex array can differ in the last bit, which files would show
+    mags = np.hypot(V.real, V.imag)
+    rows = np.arange(len(V))
+    lead = np.argmax(mags > NORM_TOL, axis=1)
+    a = mags[rows, lead]
+    V *= (V[rows, lead].conj() / a)[:, None]
+    V[rows, lead] = a  # kill the residual imaginary part exactly
+    return V.real.astype(np.complex128) if field == REAL else V
 
 
 def canonicalize(components, field: str = REAL) -> Ray:
     """Normalize and phase-fix a raw component list into a Ray.
 
     Idempotent: feeding the output back in reproduces it to 1e-15
-    componentwise.  Raises ZeroVector when the norm is at most 1e-12 and
-    FieldMismatch when field is "real" but an imaginary part is nonzero.
+    componentwise.  Raises ZeroVector when the norm is at most 1e-12,
+    FieldMismatch when field is "real" but an imaginary part is nonzero, and
+    ValueError when a component is NaN or infinite.
     """
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field {field!r}")
-    v = np.asarray(components, dtype=np.complex128).reshape(-1).copy()
-    if v.size < 2:
-        raise ValueError("a ray needs at least 2 components")
-    if field == REAL and np.any(v.imag != 0.0):
-        raise FieldMismatch("real field with nonzero imaginary part")
-    norm = float(np.linalg.norm(v))
-    if norm <= NORM_TOL:
-        raise ZeroVector(f"norm {norm:g} <= {NORM_TOL:g}")
-    v /= norm
-    for k in range(v.size):
-        a = abs(v[k])
-        if a > NORM_TOL:
-            v *= v[k].conjugate() / a
-            v[k] = a  # kill the residual imaginary part exactly
-            break
-    if field == REAL:
-        v = v.real.astype(np.complex128)
+    try:
+        v = _canonical_rows(np.reshape(components, (1, -1)), field)[0]
+    except InvariantViolation as exc:
+        raise exc.__cause__ from None  # a lone vector has no index to report
     v.setflags(write=False)
     return Ray(dimension=v.size, field=field, components=v)
 
 
 @dataclass(frozen=True)
 class RaySet:
-    """Ordered, labeled, deduplicated rays sharing a dimension and field."""
+    """Ordered, labeled, deduplicated rays sharing a dimension and field.
+
+    matrix holds the canonical rays as rows: a read-only complex array of
+    shape (n, dimension).
+    """
 
     dimension: int
     field: str
-    rays: tuple[Ray, ...]
+    matrix: np.ndarray
     labels: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.rays)
+        return len(self.matrix)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Rays stacked as rows, shape (n, dimension)."""
-        return np.array([r.components for r in self.rays])
+
+def _first_copies(overlaps: np.ndarray) -> np.ndarray:
+    """For each ray k, the smallest j <= k that is the same ray.
+
+    overlaps holds |<r_j, r_k>| for unit rows; j and k are the same ray when
+    it exceeds 1 - DUP_TOL, and every ray is its own copy.
+    """
+    return np.argmax(np.triu(overlaps > 1.0 - DUP_TOL), axis=0)
 
 
 def build_rayset(vectors, field: str, labels=None) -> RaySet:
     """Canonicalize raw vectors and enforce the ray-set invariants.
 
-    Raises InvariantViolation (with the offending index) on a zero vector,
-    a dimension mismatch, a field mismatch, or a duplicate ray.
+    Raises InvariantViolation (with the offending index) on a zero or
+    non-finite vector, a dimension mismatch, a field mismatch, or a
+    duplicate ray.
     """
-    rays: list[Ray] = []
-    for k, raw in enumerate(vectors):
-        try:
-            ray = canonicalize(raw, field)
-        except ZeroVector as exc:
-            raise InvariantViolation(f"ray {k}: {exc}", index=k) from exc
-        except FieldMismatch as exc:
-            raise InvariantViolation(f"ray {k}: {exc}", index=k) from exc
-        rays.append(ray)
-    dim = rays[0].dimension
-    for k, ray in enumerate(rays):
-        if ray.dimension != dim:
-            raise InvariantViolation(
-                f"ray {k}: dimension {ray.dimension} != {dim}", index=k)
-    M = np.array([r.components for r in rays])
-    overlaps = np.abs(M.conj() @ M.T)
-    for k in range(len(rays)):
-        for j in range(k):
-            if overlaps[j, k] > 1.0 - DUP_TOL:
-                raise InvariantViolation(
-                    f"ray {k} duplicates ray {j} (|overlap| = {overlaps[j, k]:.12f})",
-                    index=k)
+    try:
+        M = np.asarray(vectors, dtype=np.complex128)
+    except ValueError:  # rows of different lengths
+        dim = len(vectors[0])
+        k = next(k for k, v in enumerate(vectors) if len(v) != dim)
+        raise InvariantViolation(
+            f"ray {k}: dimension {len(vectors[k])} != {dim}", index=k) from None
+    V = _canonical_rows(M, field)
+    overlaps = np.abs(V.conj() @ V.T)
+    first = _first_copies(overlaps)
+    copies = np.flatnonzero(first != np.arange(len(V)))
+    if copies.size:
+        k = int(copies[0])
+        j = int(first[k])
+        raise InvariantViolation(
+            f"ray {k} duplicates ray {j} (|overlap| = {overlaps[j, k]:.12f})",
+            index=k)
     if labels is None:
-        labels = tuple(f"v{k}" for k in range(len(rays)))
+        labels = tuple(f"v{k}" for k in range(len(V)))
     else:
         labels = tuple(str(s) for s in labels)
-        if len(labels) != len(rays):
+        if len(labels) != len(V):
             raise InvariantViolation("labels length differs from ray count")
-    return RaySet(dimension=dim, field=field, rays=tuple(rays), labels=labels)
+    V.setflags(write=False)
+    return RaySet(dimension=V.shape[1], field=field, matrix=V, labels=labels)
 
 
 def _pattern_label(vec) -> str:
@@ -227,30 +250,20 @@ def three_cubes(phi: float = 0.0) -> RaySet:
     order (cube I, then II, then III, each in cube13 order).
     """
     phi = float(phi) % (2.0 * math.pi)
-    base = cube13()
-    cube_one = [(_COMMON_FRAME @ r.components).astype(np.complex128)
-                for r in base.rays]
-    r2 = _rot_to_second(phi)
-    r3 = _rot_to_third(phi)
-    stages = [("I", cube_one),
-              ("II", [r2 @ v for v in cube_one]),
-              ("III", [r3 @ v for v in cube_one])]
     field = REAL if phi == 0.0 else COMPLEX
-    kept: list[np.ndarray] = []
-    labels: list[str] = []
-    for tag, vectors in stages:
-        for src_label, vec in zip(base.labels, vectors):
-            ray = canonicalize(vec, COMPLEX)
-            for k, u in enumerate(kept):
-                if abs(np.vdot(u, ray.components)) > 1.0 - DUP_TOL:
-                    labels[k] += f"|{tag}:{src_label}"
-                    break
-            else:
-                kept.append(np.asarray(ray.components))
-                labels.append(f"{tag}:{src_label}")
-    if field == REAL:
-        kept = [v.real for v in kept]
-    return build_rayset(kept, field, labels)
+    base = cube13()
+    cube_one = _COMMON_FRAME @ base.matrix[:, :, None]
+    stacked = np.concatenate([cube_one, _rot_to_second(phi) @ cube_one,
+                              _rot_to_third(phi) @ cube_one])[:, :, 0]
+    tags = [f"{tag}:{src}" for tag in ("I", "II", "III") for src in base.labels]
+    V = _canonical_rows(stacked, COMPLEX)
+    first = _first_copies(np.abs(V.conj() @ V.T))
+    keep = np.flatnonzero(first == np.arange(len(V)))
+    labels = ["|".join(t for t, f in zip(tags, first) if f == k) for k in keep]
+    # build_rayset canonicalizes again; the catalog's bits are those of the
+    # two passes
+    return build_rayset(V[keep].real if field == REAL else V[keep], field,
+                        labels)
 
 
 def cube_members(label: str) -> frozenset[str]:
@@ -280,24 +293,15 @@ def kcbs5() -> RaySet:
 _FIELDS = {REAL, COMPLEX}
 
 
-def _rayset_to_obj(rs: RaySet) -> dict:
-    return {
+def rayset_to_json(rs: RaySet) -> str:
+    """The ray set in the exchange format, rays canonicalized."""
+    return json.dumps({
         "dimension": rs.dimension,
         "field": rs.field,
-        "rays": [[[float(c.real), float(c.imag)] for c in r.components]
-                 for r in rs.rays],
+        "rays": [[[float(c.real), float(c.imag)] for c in row]
+                 for row in rs.matrix],
         "labels": list(rs.labels),
-    }
-
-
-def save_rayset(rs: RaySet, fp) -> None:
-    """Write a ray set to a text file object, rays canonicalized."""
-    json.dump(_rayset_to_obj(rs), fp, indent=1)
-    fp.write("\n")
-
-
-def rayset_to_json(rs: RaySet) -> str:
-    return json.dumps(_rayset_to_obj(rs), indent=1) + "\n"
+    }, indent=1) + "\n"
 
 
 def load_rayset(source) -> RaySet:
@@ -349,13 +353,21 @@ def load_rayset(source) -> RaySet:
     return build_rayset(vectors, field, labels)
 
 
-def ceg18(path=None) -> RaySet:
+def ceg18() -> RaySet:
     """The 18-ray set in R^4 shipped as a transcribed data file.
 
     Its orthogonality graph has exactly 9 complete bases with every ray in
     exactly 2 of them, which is what the parity certificate needs.
     """
-    if path is not None:
-        return load_rayset(path)
     text = resources.files("ksray.data").joinpath("ceg18.json").read_text("utf-8")
     return load_rayset(text)
+
+
+# Named catalogs in listing order; three-cubes takes its phase.
+CATALOGS = {
+    "cube13": cube13,
+    "peres24": peres24,
+    "three-cubes": three_cubes,
+    "kcbs5": kcbs5,
+    "ceg18": ceg18,
+}

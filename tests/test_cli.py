@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ksray import graph_from_json, load_rayset
-from ksray.cli import run
+from ksray.cli import build_parser, run
 
 
 def capture(capsys, argv):
@@ -17,6 +17,11 @@ def test_catalog_list(capsys):
     code, out, _ = capture(capsys, ["catalog", "list"])
     assert code == 0
     assert "cube13" in out and "three-cubes" in out
+
+
+def test_catalog_list_order(capsys):
+    _, out, _ = capture(capsys, ["catalog", "list"])
+    assert out == "cube13\nperes24\nthree-cubes\nkcbs5\nceg18\n"
 
 
 def test_catalog_emit_cube13_roundtrips(capsys):
@@ -193,3 +198,55 @@ def test_measure_fraction_bad_range_exit_code(capsys, argv, message):
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""
     assert err.splitlines() == [message]
+
+
+def _ray_file(tmp_path, third):
+    path = tmp_path / "rays.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "field": "real",
+        "rays": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                 [[0, 0], [0, 0], [third, 0]]]}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["color", "bounds"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_file_exit_code(tmp_path, capsys, verb, bad):
+    code, out, err = capture(capsys, [verb, "--file", _ray_file(tmp_path, bad)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ray 2: ") and "not finite" in err
+
+
+def test_zero_quantum_state_exit_code(capsys):
+    code, out, err = capture(capsys, ["platter", "--strategy", "quantum",
+                                      "--trials", "1000", "--state", "0,0,0"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_missing_file_exit_code(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-file.json")
+    code, out, err = capture(capsys, ["color", "--file", missing])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "no-such-file.json" in err
+
+
+def test_parser_built_once_per_process(capsys):
+    sequence = [
+        ["catalog", "list"],
+        ["color", "--set", "kcbs5"],
+        ["measure", "validity", "--field", "complex", "--dim", "3",
+         "--mc", "2000", "--seed", "2"],
+        ["catalog", "emit", "three_cubes", "--phase", "0.5"],
+        ["measure", "fraction", "--field", "real", "--dim", "4"],
+        ["platter", "--strategy", "conspiratorial", "--trials", "500"],
+        ["measure", "bases", "--dim", "3", "--mc", "2000", "--json"],
+        ["color", "--set", "kcbs5"],
+    ]
+    reused = [capture(capsys, argv) for argv in sequence]
+    assert build_parser() is build_parser()
+    for argv, result in zip(sequence, reused):
+        build_parser.cache_clear()
+        assert capture(capsys, argv) == result

@@ -150,3 +150,31 @@ def test_solve_iff_count_positive():
         g = ortho_graph(rs)
         bases = complete_bases(g)
         assert ks_solve(g, bases).colorable == (count_colorings(g, bases) > 0)
+
+
+# --- pinned verdicts ----------------------------------------------------------
+
+def _word(witness):
+    return "".join(c.value for c in witness)
+
+
+def test_pinned_witnesses_and_certificates():
+    assert _word(ks_solve(ortho_graph(cube13())).witness) == "RGGGGRGRGRGGG"
+    assert _word(ks_solve(ortho_graph(kcbs5())).witness) == "RGRGG"
+    assert ks_solve(ortho_graph(three_cubes(0.0))).certificate == \
+        ExhaustionProof(nodes_explored=11)
+    assert ks_solve(ortho_graph(peres24())).certificate == \
+        ExhaustionProof(nodes_explored=15)
+    assert isinstance(ks_solve(ortho_graph(ceg18())).certificate,
+                      ParityCertificate)
+
+
+def test_pinned_counts():
+    assert count_colorings(ortho_graph(cube13())) == 24
+    assert count_colorings(ortho_graph(kcbs5())) == 11
+
+
+def test_one_too_large_class():
+    import ksray
+    from ksray import bounds, kscolor
+    assert ksray.TooLarge is kscolor.TooLarge is bounds.TooLarge

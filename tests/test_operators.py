@@ -134,3 +134,10 @@ def test_platter_estimate_in_range():
     out = platter_simulate(ClassicalStrategy((0, 0, 0, 0, 0)), 1000, 1)
     assert 0.0 <= out.estimate <= 5.0
     assert out.estimate == 0.0
+
+
+@pytest.mark.parametrize("state", [(0, 0, 0), (0, float("nan"), 1),
+                                   (float("inf"), 0, 0)])
+def test_quantum_state_must_be_finite_and_nonzero(state):
+    with pytest.raises(ValueError, match="state norm"):
+        QuantumStrategy(state).probabilities()

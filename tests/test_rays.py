@@ -7,8 +7,9 @@ import pytest
 
 from ksray import (
     COMPLEX, REAL, FieldMismatch, InvariantViolation, ParseError, ZeroVector,
-    canonicalize, ceg18, cube13, cube_members, kcbs5, load_rayset, peres24,
-    rayset_to_json, three_cubes, ortho_graph, stream_rng,
+    build_rayset, canonicalize, ceg18, cube13, cube_members, kcbs5,
+    load_rayset, peres24, rayset_to_json, three_cubes, ortho_graph,
+    stream_rng,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -45,6 +46,40 @@ def test_canonicalize_zero_vector():
 def test_canonicalize_field_mismatch():
     with pytest.raises(FieldMismatch):
         canonicalize((1j, 0, 0), REAL)
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_canonicalize_rejects_non_finite(bad, field):
+    with pytest.raises(ValueError, match="not finite") as err:
+        canonicalize((1, bad, 0), field)
+    assert not isinstance(err.value, (ZeroVector, FieldMismatch))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_build_rayset_rejects_non_finite(bad):
+    with pytest.raises(InvariantViolation, match="not finite") as err:
+        build_rayset([(1, 0, 0), (0, 1, 0), (0, 0, bad)], REAL)
+    assert err.value.index == 2
+
+
+def test_build_rayset_reports_first_duplicate():
+    # two duplicate pairs, (2, 1) and (3, 0): the smaller k is reported
+    with pytest.raises(InvariantViolation) as err:
+        build_rayset([(1, 0, 0), (0, 1, 0), (0, 2, 0), (-1, 0, 0)], REAL)
+    assert err.value.index == 2
+    assert str(err.value) == \
+        "ray 2 duplicates ray 1 (|overlap| = 1.000000000000)"
+
+
+def test_rayset_matrix_is_read_only():
+    rs = cube13()
+    assert rs.matrix.shape == (13, 3) and rs.matrix.dtype == np.complex128
+    with pytest.raises(ValueError):
+        rs.matrix[0, 0] = 0.0
 
 
 def test_canonicalize_idempotent_random():
@@ -127,6 +162,23 @@ def test_three_cubes_phase_zero_patterns():
         assert all(abs(r - 1) < 1e-9 or abs(r - SQ2) < 1e-9 for r in ratios)
 
 
+THREE_CUBES_LABELS = (
+    "I:1,0,0|II:0,1,-1|III:0,1,1", "I:0,1,0", "I:0,0,1",
+    "I:0,1,1|II:0,1,1|III:1,0,0", "I:0,1,-1|II:1,0,0|III:0,1,-1",
+    "I:1,0,1", "I:1,0,-1", "I:1,1,0", "I:1,-1,0",
+    "I:1,1,1", "I:1,1,-1", "I:1,-1,1", "I:1,-1,-1",
+    "II:0,1,0", "II:0,0,1", "II:1,0,1", "II:1,0,-1", "II:1,1,0", "II:1,-1,0",
+    "II:1,1,1", "II:1,1,-1", "II:1,-1,1", "II:1,-1,-1",
+    "III:0,1,0", "III:0,0,1", "III:1,0,1", "III:1,0,-1", "III:1,1,0",
+    "III:1,-1,0", "III:1,1,1", "III:1,1,-1", "III:1,-1,1", "III:1,-1,-1",
+)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7, 2 * math.pi / 3])
+def test_three_cubes_labels_pinned(phi):
+    assert three_cubes(phi).labels == THREE_CUBES_LABELS
+
+
 def test_three_cubes_complex_field_off_zero():
     assert three_cubes(0.0).field == REAL
     assert three_cubes(0.3).field == COMPLEX
@@ -202,6 +254,15 @@ def test_load_rayset_dimension_mismatch():
         "rays": [[[1, 0], [0, 0], [0, 0]], [[1, 0], [0, 0]]],
     })
     with pytest.raises(InvariantViolation) as err:
+        load_rayset(text)
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_load_rayset_rejects_non_finite(bad):
+    text = ('{"dimension": 2, "field": "real", '
+            f'"rays": [[[1, 0], [0, 0]], [[0, 0], [{bad}, 0]]]}}')
+    with pytest.raises(InvariantViolation, match="not finite") as err:
         load_rayset(text)
     assert err.value.index == 1
 
