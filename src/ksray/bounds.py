@@ -17,19 +17,10 @@ from scipy.linalg import (LinAlgWarning, cho_solve, lu_factor, lu_solve,
                           solve_triangular)
 from scipy.optimize import linprog
 
-from .ortho import OrthoGraph, TooLarge, maximal_cliques
+from .ortho import NumericalFailure, OrthoGraph, TooLarge, maximal_cliques
 
 SIZE_GUARD = 64
 MAX_ITERATIONS = 100
-
-
-class NumericalFailure(RuntimeError):
-    """A bound failed its certificate check; the gap or violation (or nan)
-    attached."""
-
-    def __init__(self, message: str, gap: float):
-        super().__init__(message)
-        self.gap = gap
 
 
 def _check_size(g: OrthoGraph) -> None:
@@ -102,13 +93,15 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
 # Lovasz theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaCertificate:
     """Certified bracket around theta.
 
     lower is <J, X> for an exactly feasible primal X (trace one, zeros on
     edges, PSD); upper is the largest eigenvalue of the dual matrix J with
-    the edge duals subtracted.  value is the bracket midpoint.
+    the edge duals subtracted.  value is the bracket midpoint.  Certificates
+    compare and hash by identity; compare values with np.array_equal on
+    primal_matrix and edge_duals.
     """
 
     value: float
@@ -284,8 +277,14 @@ def fractional_packing(g: OrthoGraph) -> tuple[float, np.ndarray]:
 # combined report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsReport:
+    """alpha, theta and alpha* of one graph, with their witnesses.
+
+    Reports compare and hash by identity; compare values with np.array_equal
+    on theta_matrix and packing_weights.
+    """
+
     alpha: int
     theta: float
     alpha_star: float

@@ -21,8 +21,9 @@ from . import kscolor, measure, operators, ortho, rays
 def _resolve_set(args) -> rays.RaySet:
     """Named catalog sets resolve first; an explicit file overrides the name."""
     path = getattr(args, "file", None)
-    if path:
-        return rays.load_rayset(path)
+    if path:  # opened here, so a name starting with "{" is never JSON text
+        with open(path, encoding="utf-8") as fh:
+            return rays.load_rayset(fh)
     name = args.set
     if name is None:
         raise rays.ParseError("no ray set given; use --set or --file")
@@ -312,7 +313,7 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ortho.NonConvergence, bounds_mod.NumericalFailure) as exc:
+    except ortho.NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

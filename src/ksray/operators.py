@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ortho import NumericalFailure
 from .rays import RaySet, kcbs5
 from .rng import CHUNK, chunk_sizes, stream_rng
 
@@ -40,7 +41,8 @@ def eigen_max(H: np.ndarray, tol: float = 1e-10) -> float:
     vec = v[:, -1]
     residual = float(np.linalg.norm(H @ vec - lam * vec))
     if residual > tol:
-        raise RuntimeError(f"eigen residual {residual:.3e} above {tol:.1e}")
+        raise NumericalFailure(
+            f"eigen residual {residual:.3e} above {tol:.1e}", residual)
     return lam
 
 

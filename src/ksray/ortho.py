@@ -16,20 +16,30 @@ class TooLarge(ValueError):
     """Vertex count above the size guard of an exhaustive method."""
 
 
-class NonConvergence(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A numerical result failed its check; the gap, residual or violation
+    (or nan) attached."""
+
+    def __init__(self, message: str, gap: float):
+        super().__init__(message)
+        self.gap = gap
+
+
+class NonConvergence(NumericalFailure):
     """Realization did not reach the residual target; best residual attached."""
 
     def __init__(self, message: str, residual: float):
-        super().__init__(message)
+        super().__init__(message, residual)
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthoGraph:
     """Simple undirected graph on rays, with the ambient Hilbert dimension.
 
     adjacency is a symmetric boolean matrix with a false diagonal; an edge
-    means the two rays are orthogonal.
+    means the two rays are orthogonal.  Graphs compare and hash by identity;
+    compare values with np.array_equal on adjacency.
     """
 
     n: int
@@ -70,6 +80,9 @@ def ortho_graph(rs: RaySet, tol: float = 1e-9) -> OrthoGraph:
 def from_edges(n: int, edges, dimension: int, labels=None) -> OrthoGraph:
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(
+                f"edge ({i}, {j}) has an endpoint outside range({n})")
         if i == j:
             raise ValueError("self loop")
         adj[i, j] = adj[j, i] = True
@@ -144,115 +157,94 @@ def basis_incidence(bases, n: int) -> list[int]:
 # numeric realization
 
 
-def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 10_000,
-            restarts: int = 1, field: str = REAL,
+def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 200,
+            restarts: int = 8, field: str = REAL,
             strict: bool = False) -> RaySet:
     """Find unit vectors in dimension d realizing the edges of g as orthogonalities.
 
-    From a seeded random start the orthogonality residual is driven down in
-    two phases.  First, alternating projections on the Gram matrix (unit
-    diagonal and zero edge entries against the rank-d PSD cone) find the
-    global shape; this handles rigid graphs whose realization is unique up
-    to rotation, where purely local vertex updates stall.  Second, cyclic
-    per-vertex projection onto the orthogonal complement of the neighbors'
-    span polishes the factorization to machine precision.
+    Levenberg-Marquardt (Marquardt 1963) on the n x d matrix V, stored as
+    reals: a complex row is the pair [Re | Im].  The residuals are <v_i, v_j>
+    for each edge (its real and imaginary parts in the complex field) and
+    (|v_i|^2 - 1)/2 for each vertex.  Each step solves
+    (J^T J + lam I) delta = -J^T r; lam falls threefold, to no less than
+    1e-12, after a step that lowers r.r and rises fourfold after one that
+    does not.  The floor keeps the system regular: J^T J is always singular,
+    since rotating every vector leaves every residual unchanged.  A start
+    ends when r.r < 1e-28, when lam exceeds 1e12 (a stall at a stationary
+    point), or after max_sweeps steps.
 
-    Success means the summed squared edge overlaps fall below 1e-10 (in
-    practice they reach ~1e-30, so the realized graph contains every
-    requested edge at the 1e-9 orthogonality tolerance).  Non-edges are
-    unconstrained unless strict is set, which nudges nearly orthogonal
-    non-edges apart.  Failure raises NonConvergence with the best residual
-    seen; it is a heuristic failure, not a proof of non-realizability.
+    Success means r.r, which sums the squared edge overlaps and norm
+    defects, falls below 1e-10 (in practice it reaches ~1e-28, so the
+    realized graph contains every requested edge at the 1e-9 orthogonality
+    tolerance).  Non-edges are unconstrained unless strict is set, which
+    nudges non-edges with overlap below 1e-3 apart and solves again.
+    Failure raises NonConvergence with the best residual seen; it is a
+    heuristic failure, not a proof of non-realizability.
 
-    Restarts use seed offsets as independent substreams; the first success
+    In the real field about one start in five stalls with some vectors
+    shrunk towards zero, and more steps do not rescue it, so restart k
+    starts afresh from the substream stream_rng(seed, k); the first success
     by restart index wins.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    edges = g.edges
-    adj = g.adjacency
-    nbrs = [np.flatnonzero(adj[v]) for v in range(g.n)]
-    non_nbrs = [np.array([u for u in range(g.n)
-                          if u != v and not adj[v, u]], dtype=int)
-                for v in range(g.n)]
+    n = g.n
+    i, j = np.nonzero(np.triu(g.adjacency, 1))
+    apart = ~g.adjacency & ~np.eye(n, dtype=bool)
+    complex_ = field != REAL
+    e = np.arange(len(i))
+    # every residual is a quadratic form plus a constant, so by Euler's
+    # theorem r = (J x - offset) / 2, with offset 1 on the vertex rows
+    offset = np.repeat([0.0, 1.0], [(2 if complex_ else 1) * len(i), n])
     best_res = np.inf
 
-    def residual(V: np.ndarray) -> float:
-        return float(sum(abs(np.vdot(V[i], V[j])) ** 2 for i, j in edges))
+    def vectors(X: np.ndarray) -> np.ndarray:
+        return X[:, :d] + 1j * X[:, d:] if complex_ else X
 
-    def polish(V: np.ndarray, rng, sweeps: int) -> None:
-        # the span must be taken rank-revealingly: with d or more
-        # neighbors a plain QR would return all of C^d and kill the vector
-        for _ in range(sweeps):
-            for v in range(g.n):
-                if len(nbrs[v]) == 0:
-                    continue
-                u, s, _ = np.linalg.svd(V[nbrs[v]].T, full_matrices=False)
-                q = u[:, s > 1e-6 * max(1.0, float(s[0]))]
-                w = V[v] - q @ (q.conj().T @ V[v])
-                norm = np.linalg.norm(w)
-                if norm < 1e-8:
-                    w = gaussian_rows(rng, 1, d, field)[0]
-                    norm = np.linalg.norm(w)
-                V[v] = w / norm
-            if residual(V) < 1e-26:
-                return
+    def jacobian(X: np.ndarray) -> np.ndarray:
+        jac = np.zeros((len(offset), n, X.shape[1]))
+        jac[e, i], jac[e, j] = X[j], X[i]
+        if complex_:  # Im <v_i, v_j> = x_i . T x_j with T [a | b] = [b | -a]
+            T = np.hstack([X[:, d:], -X[:, :d]])
+            jac[len(i) + e, i], jac[len(i) + e, j] = T[j], -T[i]
+        jac[len(offset) - n + np.arange(n), np.arange(n)] = X
+        return jac.reshape(len(offset), -1)
+
+    def solve(X: np.ndarray) -> tuple[np.ndarray, float]:
+        x, lam = X.ravel(), 1e-3
+        jac = jacobian(X)
+        r = (jac @ x - offset) / 2
+        for _ in range(max_sweeps):
+            if r @ r < 1e-28 or lam > 1e12:
+                break
+            y = x - np.linalg.solve(jac.T @ jac + lam * np.eye(x.size),
+                                    jac.T @ r)
+            jac_y = jacobian(y.reshape(X.shape))
+            r_y = (jac_y @ y - offset) / 2
+            if r_y @ r_y < r @ r:
+                x, jac, r, lam = y, jac_y, r_y, max(lam / 3, 1e-12)
+            else:
+                lam *= 4
+        return x.reshape(X.shape), float(r @ r)
 
     for attempt in range(restarts):
-        rng = stream_rng(seed, attempt)
-        V = gaussian_rows(rng, g.n, d, field)
-        gram = V @ V.conj().T
-        converged = False
-        for _ in range(max_sweeps):
-            np.fill_diagonal(gram, 1.0)
-            gram[adj] = 0.0
-            gram = 0.5 * (gram + gram.conj().T)
-            w, U = np.linalg.eigh(gram)
-            top = np.argsort(w)[-d:]
-            gram = (U[:, top] * np.clip(w[top], 0.0, None)) @ U[:, top].conj().T
-            drift = max(float(np.abs(np.diag(gram).real - 1.0).max()),
-                        float(np.abs(gram[adj]).max()) if edges else 0.0)
-            if drift < 1e-9:
-                converged = True
+        V = gaussian_rows(stream_rng(seed, attempt), n, d, field)
+        X, res = solve(np.hstack([V.real, V.imag]) if complex_ else V)
+        for _ in range(20 if strict else 0):
+            V = vectors(X)
+            close = (np.abs(V.conj() @ V.T) < 1e-3) & apart
+            if res >= 1e-10 or not close.any():
                 break
-        w, U = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        top = np.argsort(w)[-d:]
-        V = U[:, top] * np.sqrt(np.clip(w[top], 0.0, None))
-        norms = np.linalg.norm(V, axis=1)
-        degenerate = norms < 1e-6
-        if np.any(degenerate):
-            V[degenerate] = gaussian_rows(rng, int(degenerate.sum()), d,
-                                           field)
-            norms = np.linalg.norm(V, axis=1)
-        V /= norms[:, None]
-        if converged:
-            polish(V, rng, 50)
-        if strict:
-            for _ in range(20):
-                nudged = False
-                for v in range(g.n):
-                    if len(non_nbrs[v]) == 0:
-                        continue
-                    close = np.abs(V[non_nbrs[v]].conj() @ V[v]) < 1e-3
-                    for u in non_nbrs[v][close]:
-                        V[v] = V[v] + 5e-3 * V[u]
-                        nudged = True
-                    if nudged:
-                        V[v] /= np.linalg.norm(V[v])
-                if not nudged:
-                    break
-                polish(V, rng, 20)
-        res = residual(V)
+            X, res = solve(X + 5e-3 * close @ X)
         best_res = min(best_res, res)
         if res < 1e-10:
             try:
-                return build_rayset(V.real if field == REAL else V, field,
-                                    g.vertex_labels)
+                return build_rayset(vectors(X), field, g.vertex_labels)
             except InvariantViolation:
                 continue  # coincident rays cannot populate a RaySet
     raise NonConvergence(
         f"no realization in d={d} after {restarts} restart(s) of "
-        f"{max_sweeps} sweeps (best residual {best_res:.3e})", best_res)
+        f"{max_sweeps} steps (best residual {best_res:.3e})", best_res)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,13 @@ class InvariantViolation(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ray:
-    """Unit vector modulo global phase, with canonical phase fixed."""
+    """Unit vector modulo global phase, with canonical phase fixed.
+
+    Rays compare and hash by identity; compare values with np.array_equal
+    on components.
+    """
 
     dimension: int
     field: str
@@ -112,12 +116,13 @@ def canonicalize(components, field: str = REAL) -> Ray:
     return Ray(dimension=v.size, field=field, components=v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaySet:
     """Ordered, labeled, deduplicated rays sharing a dimension and field.
 
     matrix holds the canonical rays as rows: a read-only complex array of
-    shape (n, dimension).
+    shape (n, dimension).  Ray sets compare and hash by identity; compare
+    values with np.array_equal on matrix.
     """
 
     dimension: int
@@ -305,7 +310,10 @@ def rayset_to_json(rs: RaySet) -> str:
 
 
 def load_rayset(source) -> RaySet:
-    """Read a ray set from a path, file object, or JSON string.
+    """Read a ray set from a path, file object, or JSON text.
+
+    A str is JSON text when its first non-blank character is "{" and a path
+    otherwise; an os.PathLike is always a path.
 
     The reader canonicalizes every ray and enforces the ray-set invariants;
     structural problems raise ParseError, per-ray problems raise
@@ -313,11 +321,11 @@ def load_rayset(source) -> RaySet:
     """
     if hasattr(source, "read"):
         text = source.read()
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
     else:
-        text = str(source)
-        if "{" not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

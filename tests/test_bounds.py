@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ksray import (
-    bounds_report, ceg18, complete_graph, cube13,
+    bounds_report, canonicalize, ceg18, complete_graph, cube13,
     cycle_graph, empty_graph, fractional_packing, from_edges,
     independence_number, kcbs5, lovasz_theta, maximal_cliques, ortho_graph,
     peres24, stream_rng, theta_certificate, three_cubes,
@@ -228,3 +228,15 @@ def test_sandwich_on_catalog_graphs():
         rep = bounds_report(ortho_graph(rs))
         assert rep.alpha <= rep.theta + 1e-5
         assert rep.theta <= rep.alpha_star + 2e-5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: canonicalize([1.0, 2.0, 2.0]), cube13,
+    lambda: ortho_graph(cube13()), lambda: cycle_graph(5),
+    lambda: theta_certificate(cycle_graph(5)),
+    lambda: bounds_report(cycle_graph(5)),
+])
+def test_array_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False
+    assert len({a, a, b}) == 2

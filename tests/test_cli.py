@@ -1,9 +1,10 @@
+import functools
 import json
 import math
 
 import pytest
 
-from ksray import graph_from_json, load_rayset
+from ksray import graph_from_json, load_rayset, operators
 from ksray.cli import build_parser, run
 
 
@@ -250,3 +251,20 @@ def test_parser_built_once_per_process(capsys):
     for argv, result in zip(sequence, reused):
         build_parser.cache_clear()
         assert capture(capsys, argv) == result
+
+
+@pytest.mark.parametrize("name", ["a{1}.json", "{a}.json"])
+def test_file_name_with_braces(tmp_path, capsys, name):
+    _, text, _ = capture(capsys, ["catalog", "emit", "kcbs5"])
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = capture(capsys, ["color", "--file", str(tmp_path / name)])
+    assert code == 0 and out.startswith("COLORABLE") and err == ""
+
+
+def test_failed_eigen_residual_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(operators, "eigen_max",
+                        functools.partial(operators.eigen_max, tol=-1.0))
+    code, _, err = capture(capsys, ["spectrum", "--set", "cube13"])
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: eigen residual")

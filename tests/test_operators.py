@@ -7,7 +7,7 @@ from ksray import (
     ClassicalStrategy, ConspiratorialStrategy, InvalidAssignment,
     QuantumStrategy, build_rayset, ceg18, cube13, eigen_max,
     equal_weight_povm_check, kcbs5, peres24, platter_simulate,
-    projector_sum, stream_rng, three_cubes,
+    projector_sum, stream_rng, three_cubes, NumericalFailure,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -48,6 +48,12 @@ def test_eigen_max_diagonal():
 def test_eigen_max_rejects_nonhermitian():
     with pytest.raises(ValueError):
         eigen_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigen_max_failed_residual_is_numerical_failure():
+    with pytest.raises(NumericalFailure) as err:
+        eigen_max(np.eye(3), tol=-1.0)
+    assert err.value.gap >= 0.0
 
 
 def test_eigen_max_above_mean_bound():

@@ -1,13 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ksray import (
-    NonConvergence, ceg18, complete_bases, complete_graph, cube13,
-    cycle_graph, from_edges, graph_from_json, graph_to_json, kcbs5,
+    NonConvergence, NumericalFailure, ceg18, complete_bases, complete_graph,
+    cube13, cycle_graph, from_edges, graph_from_json, graph_to_json, kcbs5,
     maximal_cliques, ortho_graph, peres24, realize, stream_rng, three_cubes,
-    unbiased_basis_triples, build_rayset,
+    unbiased_basis_triples, build_rayset, ks_solve,
 )
 
 
@@ -162,6 +163,62 @@ def test_realize_cube13_graph():
     realized = ortho_graph(rs)
     for i, j in g.edges:
         assert realized.adjacency[i, j]
+
+
+SWEEP_SETS = {
+    "cube13": cube13, "peres24": peres24,
+    "three_cubes-0": lambda: three_cubes(0.0),
+    "three_cubes-2pi/3": lambda: three_cubes(2 * math.pi / 3),
+    "kcbs5": kcbs5, "ceg18": ceg18,
+}
+
+
+def _assert_realizes(g, field, seeds):
+    # every requested edge and no other: the adjacency matches exactly
+    colorable = ks_solve(g, complete_bases(g)).colorable
+    for seed in seeds:
+        realized = ortho_graph(realize(g, g.dimension, seed, field=field))
+        assert np.array_equal(realized.adjacency, g.adjacency)
+        verdict = ks_solve(realized, complete_bases(realized))
+        assert verdict.colorable == colorable
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("name", SWEEP_SETS)
+def test_realize_catalog_graphs_on_50_seeds(name, field):
+    _assert_realizes(ortho_graph(SWEEP_SETS[name]()), field, range(50))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_realize_three_cubes_first_ten_seeds(field):
+    _assert_realizes(ortho_graph(three_cubes(0.0)), field, range(10))
+
+
+def test_realize_strict_complex_separates_nonedges():
+    g = ortho_graph(cube13())
+    rs = realize(g, 3, seed=4, field="complex", strict=True)
+    assert rs.field == "complex"
+    overlaps = np.abs(rs.matrix.conj() @ rs.matrix.T)
+    assert np.all(overlaps[g.adjacency] < 1e-9)
+    apart = ~g.adjacency & ~np.eye(g.n, dtype=bool)
+    assert overlaps[apart].min() > 1e-3
+
+
+def test_realize_failure_is_a_numerical_failure():
+    assert issubclass(NonConvergence, NumericalFailure)
+    with pytest.raises(NumericalFailure) as err:
+        realize(cycle_graph(5, dimension=3), 2, seed=3)
+    assert err.value.residual == err.value.gap > 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: from_edges(3, [(-1, 0)], 3),
+    lambda: from_edges(3, [(0, 3)], 3),
+    lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [[0, 5]]}'),
+])
+def test_edge_endpoint_outside_vertex_range(make):
+    with pytest.raises(ValueError, match="outside range"):
+        make()
 
 
 # --- exchange format --------------------------------------------------------

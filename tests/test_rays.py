@@ -272,6 +272,14 @@ def test_load_rayset_bad_json():
         load_rayset("{not json")
 
 
+def test_load_rayset_text_and_paths(tmp_path):
+    text = rayset_to_json(kcbs5())
+    path = tmp_path / "{a}.json"
+    path.write_text(text, encoding="utf-8")
+    for source in (" \n" + text, path, str(path)):
+        assert np.array_equal(load_rayset(source).matrix, kcbs5().matrix)
+
+
 def test_load_rayset_bad_field():
     text = json.dumps({"dimension": 2, "field": "rational",
                        "rays": [[[1, 0], [0, 0]]]})
