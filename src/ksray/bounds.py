@@ -219,18 +219,16 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
 
     # certified bracket
     x = 0.5 * (x + x.T)
-    if m:
-        x[ridx, cidx] = 0.0
-        x[cidx, ridx] = 0.0
+    x[ridx, cidx] = 0.0
+    x[cidx, ridx] = 0.0
     lam_min = float(np.linalg.eigvalsh(x)[0])
     if lam_min < 0.0:
         x = x + (-lam_min + 1e-15) * np.eye(n)
     x /= np.trace(x)
     lower = float(x.sum())
     dual = ones.copy()
-    if m:
-        dual[ridx, cidx] -= y
-        dual[cidx, ridx] -= y
+    dual[ridx, cidx] -= y
+    dual[cidx, ridx] -= y
     upper = float(np.linalg.eigvalsh(dual)[-1])
     gap = upper - lower
     if gap > eps:

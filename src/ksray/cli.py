@@ -8,6 +8,7 @@ fixed argv (including seeds) is byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -44,6 +45,18 @@ def _add_set_options(p: argparse.ArgumentParser) -> None:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _emit(as_json: bool, record: dict, lines: list[str]) -> None:
+    """Print one result: its record as a sorted-key JSON line, or its text."""
+    print(json.dumps(record, sort_keys=True) if as_json else "\n".join(lines))
+
+
+def _estimate(est: measure.MCEstimate) -> tuple[dict, list[str]]:
+    """The record and text line of one Monte Carlo estimate."""
+    return dataclasses.asdict(est), [
+        f"value: {_fmt(est.value)} stderr: {_fmt(est.stderr)} "
+        f"samples: {est.samples} seed: {est.seed}"]
 
 
 def cmd_catalog(args) -> int:
@@ -89,21 +102,15 @@ def cmd_color(args) -> int:
 def cmd_bounds(args) -> int:
     g = ortho.ortho_graph(_resolve_set(args))
     report = bounds_mod.bounds_report(g)
-    if args.json:
-        obj = {
-            "alpha": report.alpha,
-            "theta": report.theta,
-            "alpha_star": report.alpha_star,
-            "theta_gap": report.theta_gap,
-            "independent_set": list(report.independent_set),
-            "packing_weights": [float(w) for w in report.packing_weights],
-        }
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(f"alpha      = {report.alpha}")
-        print(f"theta      = {_fmt(report.theta)} (gap {report.theta_gap:.2e})")
-        print(f"alpha_star = {_fmt(report.alpha_star)}")
-        print(f"independent set: {list(report.independent_set)}")
+    _emit(args.json, dict(
+        alpha=report.alpha, theta=report.theta, alpha_star=report.alpha_star,
+        theta_gap=report.theta_gap,
+        independent_set=list(report.independent_set),
+        packing_weights=[float(w) for w in report.packing_weights],
+    ), [f"alpha      = {report.alpha}",
+        f"theta      = {_fmt(report.theta)} (gap {report.theta_gap:.2e})",
+        f"alpha_star = {_fmt(report.alpha_star)}",
+        f"independent set: {list(report.independent_set)}"])
     return 0
 
 
@@ -137,16 +144,6 @@ def cmd_platter(args) -> int:
     return 0
 
 
-def _print_estimate(est: measure.MCEstimate, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps({"value": est.value, "stderr": est.stderr,
-                          "samples": est.samples, "seed": est.seed},
-                         sort_keys=True))
-    else:
-        print(f"value: {_fmt(est.value)} stderr: {_fmt(est.stderr)} "
-              f"samples: {est.samples} seed: {est.seed}")
-
-
 def _parse_scan(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split(":"))
@@ -169,53 +166,39 @@ def cmd_fraction(args) -> int:
     if args.dim is None:
         raise rays.ParseError("measure fraction needs --dim or --scan")
     exact = fn(args.dim)
+    record, lines = {"closed_form": exact}, [f"closed form: {_fmt(exact)}"]
     if args.mc:
-        est = measure.mc_colored_fraction(args.field, args.dim, args.mc,
-                                          args.seed)
-        if args.json:
-            print(json.dumps({"closed_form": exact, "value": est.value,
-                              "stderr": est.stderr, "samples": est.samples,
-                              "seed": est.seed}, sort_keys=True))
-        else:
-            print(f"closed form: {_fmt(exact)}")
-            _print_estimate(est, False)
-    elif args.json:
-        print(json.dumps({"closed_form": exact}, sort_keys=True))
-    else:
-        print(f"closed form: {_fmt(exact)}")
+        est, est_lines = _estimate(measure.mc_colored_fraction(
+            args.field, args.dim, args.mc, args.seed))
+        record, lines = record | est, lines + est_lines
+    _emit(args.json, record, lines)
     return 0
 
 
 def cmd_bases(args) -> int:
     est = measure.basis_colored_fraction_mc(args.dim, args.mc, args.seed)
-    _print_estimate(est, args.json)
+    _emit(args.json, *_estimate(est))
     return 0
 
 
 def cmd_validity(args) -> int:
     both_red, all_green = measure.region_validity_mc(
         args.field, args.dim, args.mc, args.seed)
-    if args.json:
-        print(json.dumps({"both_red_pairs": both_red,
-                          "all_green_bases": all_green,
-                          "samples": args.mc, "seed": args.seed},
-                         sort_keys=True))
-    else:
-        print(f"both-red orthogonal pairs: {both_red}")
-        print(f"all-green bases: {all_green}")
-        print(f"samples: {args.mc} seed: {args.seed}")
+    _emit(args.json, {"both_red_pairs": both_red,
+                      "all_green_bases": all_green,
+                      "samples": args.mc, "seed": args.seed},
+          [f"both-red orthogonal pairs: {both_red}",
+           f"all-green bases: {all_green}",
+           f"samples: {args.mc} seed: {args.seed}"])
     return 0
 
 
 def cmd_separable(args) -> int:
     violations = measure.separable_validity_mc(args.mc, args.seed)
-    if args.json:
-        print(json.dumps({"same_quadrant_pairs": violations,
-                          "samples": args.mc, "seed": args.seed},
-                         sort_keys=True))
-    else:
-        print(f"same-quadrant orthogonal pairs: {violations}")
-        print(f"samples: {args.mc} seed: {args.seed}")
+    _emit(args.json, {"same_quadrant_pairs": violations,
+                      "samples": args.mc, "seed": args.seed},
+          [f"same-quadrant orthogonal pairs: {violations}",
+           f"samples: {args.mc} seed: {args.seed}"])
     return 0
 
 

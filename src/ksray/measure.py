@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .rays import COMPLEX, REAL, Ray, _canonical_rows, canonicalize
-from .rng import CHUNK, chunk_sizes, gaussian_rows, stream_rng
+from .rng import chunks, gaussian_rows
 
 
 class Region(enum.Enum):
@@ -55,6 +55,10 @@ class RegionColoring:
             return 1.0 / math.sqrt(self.dimension)
         return 1.0 / self.dimension
 
+    def masks(self, w):
+        """(Red, Green) masks of weights w; both comparisons are strict."""
+        return w > self.cap_threshold, w < self.belt_threshold
+
 
 def classify(rc: RegionColoring, ray) -> Region:
     """Red, Green, or Uncolored for one ray; phase-invariant by construction."""
@@ -66,12 +70,9 @@ def classify(rc: RegionColoring, ray) -> Region:
         comps = np.asarray(ray)
     if comps.shape != (rc.dimension,):
         raise ValueError("ray dimension does not match the coloring")
-    mag = abs(comps[0]) if rc.field == REAL else abs(comps[0]) ** 2
-    if mag > rc.cap_threshold:
-        return Region.RED
-    if mag < rc.belt_threshold:
-        return Region.GREEN
-    return Region.UNCOLORED
+    red, green = rc.masks(abs(comps[0]) if rc.field == REAL
+                          else abs(comps[0]) ** 2)
+    return Region.RED if red else Region.GREEN if green else Region.UNCOLORED
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +165,13 @@ def _weights(g: np.ndarray, field: str) -> np.ndarray:
 def mc_colored_fraction(field: str, d: int, samples: int,
                         seed: int) -> MCEstimate:
     """Fraction of sampled rays that land in the cap or the belt."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    parts = chunks(seed, samples)
     rc = RegionColoring(field=field, dimension=d)
     colored = 0
-    for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
-        rng = stream_rng(seed, stream)
+    for rng, size in parts:
         w = _first_weight(gaussian_rows(rng, size, d, field), field)
-        colored += int(((w > rc.cap_threshold)
-                        | (w < rc.belt_threshold)).sum())
+        red, green = rc.masks(w)
+        colored += int((red | green).sum())
     return _proportion(colored, samples, seed)
 
 
@@ -188,16 +187,13 @@ def region_validity_mc(field: str, d: int, samples: int,
     small for two orthogonal rays and the belt too small for a complete
     basis.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    parts = chunks(seed, samples)
     rc = RegionColoring(field=field, dimension=d)
     both_red = 0
     all_green = 0
-    for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
-        rng = stream_rng(seed, stream)
+    for rng, size in parts:
         w = _weights(gaussian_rows(rng, size, d, field), field)
-        red = w > rc.cap_threshold
-        green = w < rc.belt_threshold
+        red, green = rc.masks(w)
         reds = red.sum(axis=1)
         both_red += int((reds * (reds - 1) // 2).sum())
         all_green += int(green.all(axis=1).sum())
@@ -215,15 +211,12 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    parts = chunks(seed, samples)
     rc = RegionColoring(field=REAL, dimension=d)
     full = 0
-    for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
-        rng = stream_rng(seed, stream)
+    for rng, size in parts:
         w = _weights(gaussian_rows(rng, size, d, REAL), REAL)
-        red = w > rc.cap_threshold
-        green = w < rc.belt_threshold
+        red, green = rc.masks(w)
         fully = (red | green).all(axis=1)
         if not np.all(red[fully].sum(axis=1) == 1):
             raise AssertionError("fully colored basis without exactly one Red")
@@ -303,11 +296,8 @@ def separable_validity_mc(samples: int, seed: int) -> int:
     Exact poles are excluded by rejection, matching the chart convention
     (the pole counterexample is constructed separately).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     violations = 0
-    for stream, size in enumerate(chunk_sizes(samples, CHUNK)):
-        rng = stream_rng(seed, stream)
+    for rng, size in chunks(seed, samples):
         cos_t = rng.uniform(-1.0, 1.0, size=(size, 2))
         while True:  # reject exact poles; a measure-zero event
             at_pole = np.abs(cos_t) == 1.0

@@ -8,7 +8,7 @@ import numpy as np
 
 from .ortho import NumericalFailure
 from .rays import RaySet, kcbs5
-from .rng import CHUNK, chunk_sizes, stream_rng
+from .rng import chunks
 
 HERMITIAN_TOL = 1e-12
 
@@ -126,8 +126,7 @@ def platter_simulate(strategy, trials: int, seed: int) -> PlatterOutcome:
     disjoint seeded substreams; results are reproducible for a given seed no
     matter how chunks are scheduled.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    parts = chunks(seed, trials, what="trials")
     hits = np.zeros(5, dtype=np.int64)
     obs = np.zeros(5, dtype=np.int64)
     first = np.array([e[0] for e in _PENT_EDGES])
@@ -144,8 +143,7 @@ def platter_simulate(strategy, trials: int, seed: int) -> PlatterOutcome:
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
 
-    for stream, size in enumerate(chunk_sizes(trials, CHUNK)):
-        rng = stream_rng(seed, stream)
+    for rng, size in parts:
         draws = rng.integers(0, 5, size=size)
         edge_count = np.bincount(draws, minlength=5)
         obs_chunk = np.zeros(5, dtype=np.int64)

@@ -11,6 +11,8 @@ import numpy as np
 from .rays import REAL, InvariantViolation, RaySet, build_rayset
 from .rng import gaussian_rows, stream_rng
 
+_INDEX = (int, np.integer)  # bool is an int too; from_edges rejects it by type
+
 
 class TooLarge(ValueError):
     """Vertex count above the size guard of an exhaustive method."""
@@ -80,6 +82,9 @@ def ortho_graph(rs: RaySet, tol: float = 1e-9) -> OrthoGraph:
 def from_edges(n: int, edges, dimension: int, labels=None) -> OrthoGraph:
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
+        if (not (isinstance(i, _INDEX) and isinstance(j, _INDEX))
+                or type(i) is bool or type(j) is bool):
+            raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(
                 f"edge ({i}, {j}) has an endpoint outside range({n})")

@@ -1,8 +1,9 @@
 """Deterministic counter-based random streams.
 
 Every stochastic routine draws from Philox generators keyed by
-(seed, stream index).  Chunked Monte Carlo loops give each fixed-size chunk
-its own stream, so results do not depend on how chunks are scheduled.
+(seed, stream index).  Chunked Monte Carlo loops iterate `chunks`, which
+gives each fixed-size chunk its own stream, so results do not depend on how
+chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ def gaussian_rows(rng, n: int, d: int, field: str) -> np.ndarray:
 
 def chunk_sizes(total: int, chunk: int = CHUNK):
     """Fixed chunk decomposition of a sample budget."""
-    sizes = []
-    done = 0
-    while done < total:
-        step = min(chunk, total - done)
-        sizes.append(step)
-        done += step
-    return sizes
+    return [min(chunk, total - start) for start in range(0, total, chunk)]
+
+
+def chunks(seed: int, total: int, what: str = "samples"):
+    """(generator, size) per chunk of a budget: chunk k draws from
+    stream_rng(seed, k).  A budget below 1 is refused at call time."""
+    if total < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return ((stream_rng(seed, k), size)
+            for k, size in enumerate(chunk_sizes(total)))

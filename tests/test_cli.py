@@ -151,6 +151,65 @@ def test_measure_bases(capsys):
     assert json.loads(out)["value"] == 1.0
 
 
+RECORDS = [  # (command line, exact stdout), text and --json forms
+    ("bounds --set kcbs5",
+     "alpha      = 2\ntheta      = 2.23606797749 (gap 3.37e-11)\n"
+     "alpha_star = 2.5\nindependent set: [1, 4]\n"),
+    # theta and its gap at full float precision: a BLAS build that rounds
+    # differently changes these digits, not the text form's
+    ("bounds --set kcbs5 --json",
+     '{"alpha": 2, "alpha_star": 2.5, "independent_set": [1, 4], '
+     '"packing_weights": [0.5, 0.5, 0.5, 0.5, 0.5], '
+     '"theta": 2.236067977489446, "theta_gap": 3.3728131398902406e-11}\n'),
+    ("measure fraction --field real --dim 4 --mc 3000 --seed 2",
+     "closed form: 0.79068789486\nvalue: 0.782666666667 "
+     "stderr: 0.00752993040153 samples: 3000 seed: 2\n"),
+    ("measure fraction --field real --dim 4 --mc 3000 --seed 2 --json",
+     '{"closed_form": 0.7906878948604382, "samples": 3000, "seed": 2, '
+     '"stderr": 0.00752993040152775, "value": 0.7826666666666666}\n'),
+    ("measure fraction --field complex --dim 3",
+     "closed form: 0.805555555556\n"),
+    ("measure fraction --field complex --dim 3 --json",
+     '{"closed_form": 0.8055555555555555}\n'),
+    ("measure bases --dim 4 --mc 3000 --seed 6",
+     "value: 0.459333333333 stderr: 0.00909846547908 samples: 3000 "
+     "seed: 6\n"),
+    ("measure bases --dim 4 --mc 3000 --seed 6 --json",
+     '{"samples": 3000, "seed": 6, "stderr": 0.009098465479083495, '
+     '"value": 0.4593333333333333}\n'),
+    ("measure validity --field complex --dim 3 --mc 3000 --seed 3",
+     "both-red orthogonal pairs: 0\nall-green bases: 0\n"
+     "samples: 3000 seed: 3\n"),
+    ("measure validity --field complex --dim 3 --mc 3000 --seed 3 --json",
+     '{"all_green_bases": 0, "both_red_pairs": 0, "samples": 3000, '
+     '"seed": 3}\n'),
+    ("measure separable --mc 3000 --seed 4",
+     "same-quadrant orthogonal pairs: 0\nsamples: 3000 seed: 4\n"),
+    ("measure separable --mc 3000 --seed 4 --json",
+     '{"same_quadrant_pairs": 0, "samples": 3000, "seed": 4}\n'),
+]
+
+
+@pytest.mark.parametrize("line,expected", RECORDS,
+                         ids=[line for line, _ in RECORDS])
+def test_record_output_pinned(capsys, line, expected):
+    assert capture(capsys, line.split()) == (0, expected, "")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("measure bases --dim 1 --mc 0", "error: d must be >= 2"),
+    ("measure validity --field real --dim 1 --mc 0",
+     "error: samples must be >= 1"),
+    ("platter --strategy quantum --trials 0", "error: trials must be >= 1"),
+    ("platter --strategy quantum --trials 0 --state 0,0,0",
+     "error: trials must be >= 1"),
+])
+def test_budget_error_precedence(capsys, line, message):
+    code, out, err = capture(capsys, line.split())
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
 def test_file_overrides_set(tmp_path, capsys):
     code, out, _ = capture(capsys, ["catalog", "emit", "kcbs5"])
     path = tmp_path / "pent.json"

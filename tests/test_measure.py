@@ -5,13 +5,15 @@ import pytest
 from scipy import integrate, special
 
 from ksray import (
-    COMPLEX, REAL, MCEstimate, Quadrant, Region, RegionColoring,
-    SeparableState, basis_colored_fraction_mc, canonicalize, classify,
+    COMPLEX, REAL, ClassicalStrategy, ConspiratorialStrategy, MCEstimate,
+    Quadrant, QuantumStrategy, Region, RegionColoring, SeparableState,
+    basis_colored_fraction_mc, canonicalize, classify,
     colored_fraction_complex, colored_fraction_real, mc_colored_fraction,
-    pole_counterexample, region_validity_mc, sample_bases, sample_ray,
-    sample_rays, separable_quadrant, separable_to_ray, separable_validity_mc,
-    stream_rng,
+    platter_simulate, pole_counterexample, region_validity_mc, sample_bases,
+    sample_ray, sample_rays, separable_quadrant, separable_to_ray,
+    separable_validity_mc, stream_rng,
 )
+from ksray.rng import CHUNK
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -212,6 +214,49 @@ def test_mc_deterministic():
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_region_validity(field, d):
     assert region_validity_mc(field, d, 20_000, seed=303) == (0, 0)
+
+
+RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
+
+
+@pytest.mark.parametrize("run,expected", [
+    (lambda: mc_colored_fraction(REAL, 5, RAGGED, 11),
+     "MCEstimate(value=0.7437652102930294, stderr=0.0012057865016953692, "
+     "samples=131079, seed=11)"),
+    (lambda: mc_colored_fraction(COMPLEX, 4, RAGGED, 12),
+     "MCEstimate(value=0.7012412362010696, stderr=0.001264234071346475, "
+     "samples=131079, seed=12)"),
+    (lambda: region_validity_mc(REAL, 3, RAGGED, 13), "(0, 0)"),
+    (lambda: region_validity_mc(COMPLEX, 4, RAGGED, 13), "(0, 0)"),
+    (lambda: basis_colored_fraction_mc(2, RAGGED, 14),
+     "MCEstimate(value=1.0, stderr=0.0, samples=131079, seed=14)"),
+    (lambda: basis_colored_fraction_mc(3, RAGGED, 15),
+     "MCEstimate(value=0.6963129105348683, stderr=0.0012701319147272617, "
+     "samples=131079, seed=15)"),
+    (lambda: basis_colored_fraction_mc(4, RAGGED, 16),
+     "MCEstimate(value=0.4528490452322645, stderr=0.0013748766908683553, "
+     "samples=131079, seed=16)"),
+    (lambda: separable_validity_mc(RAGGED, 17), "0"),
+    (lambda: platter_simulate(ClassicalStrategy((1, 0, 1, 0, 0)), RAGGED, 18),
+     "PlatterOutcome(strategy='classical', estimate=2.0, trials=131079, "
+     "seed=18, frequencies=(1.0, 0.0, 1.0, 0.0, 0.0))"),
+    (lambda: platter_simulate(ConspiratorialStrategy(), RAGGED, 19),
+     "PlatterOutcome(strategy='conspiratorial', estimate=2.499999995630193, "
+     "trials=131079, seed=19, frequencies=(0.5014985205688651, "
+     "0.49905611807104855, 0.5013717421124828, 0.4989528197707627, "
+     "0.49912079510703367))"),
+    (lambda: platter_simulate(QuantumStrategy((0, 0, 1)), RAGGED, 20),
+     "PlatterOutcome(strategy='quantum', estimate=2.2359737066438132, "
+     "trials=131079, seed=20, frequencies=(0.44842036778353966, "
+     "0.44594310605047477, 0.4471547814155582, 0.4481954659185685, "
+     "0.44625998547567175))"),
+], ids=["fraction-real", "fraction-complex", "validity-real",
+        "validity-complex", "bases-2", "bases-3", "bases-4", "separable",
+        "platter-classical", "platter-conspiratorial", "platter-quantum"])
+def test_chunked_entry_points_pinned(run, expected):
+    """Every chunked Monte Carlo result, to the last digit, over a budget
+    whose last chunk is short: the chunk/stream split must never move."""
+    assert repr(run()) == expected
 
 
 def test_basis_fraction_d2_is_one():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,15 @@ def test_realize_failure_is_a_numerical_failure():
 def test_edge_endpoint_outside_vertex_range(make):
     with pytest.raises(ValueError, match="outside range"):
         make()
+
+
+@pytest.mark.parametrize("edge,shown", [("[0.5, 1]", "(0.5, 1)"),
+                                        ("[true, 2]", "(True, 2)")])
+def test_edge_endpoint_not_an_integer(edge, shown):
+    text = f'{{"n": 3, "dimension": 3, "edges": [{edge}]}}'
+    with pytest.raises(ValueError,
+                       match=re.escape(f"edge {shown} has a non-integer")):
+        graph_from_json(text)
 
 
 # --- exchange format --------------------------------------------------------
