@@ -3,19 +3,16 @@
 classical  = independence number, exact branch and bound
 quantum    = Lovasz theta, primal-dual path following with an
              a-posteriori certified duality gap
-conspiratorial = fractional packing number, LP over maximal cliques
+conspiratorial = fractional packing number, primal-dual LP over maximal
+                 cliques with a certified gap
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (LinAlgWarning, cho_solve, lu_factor, lu_solve,
-                          solve_triangular)
-from scipy.optimize import linprog
 
 from .ortho import NumericalFailure, OrthoGraph, TooLarge, maximal_cliques
 
@@ -144,10 +141,10 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
         w[cidx, ridx] += v[1:]
         return w
 
-    def max_step(chol: np.ndarray, d: np.ndarray) -> float:
-        """Largest alpha keeping L L^T + alpha d PSD (inf if unbounded)."""
-        s = solve_triangular(chol, d, lower=True)
-        s = solve_triangular(chol, s.T, lower=True)
+    def max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
+        """Largest alpha keeping L L^T + alpha d PSD (inf if unbounded),
+        given L^-1."""
+        s = chol_inv @ d @ chol_inv.T
         lam = float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
         return -1.0 / lam if lam < 0.0 else np.inf
 
@@ -161,11 +158,11 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
             break
         mu = gap_xz / n
         try:
-            lx = np.linalg.cholesky(x)
-            lz = np.linalg.cholesky(z)
+            lxi = np.linalg.inv(np.linalg.cholesky(x))
+            lzi = np.linalg.inv(np.linalg.cholesky(z))
         except np.linalg.LinAlgError:
             break
-        zi = cho_solve((lz, True), np.eye(n))
+        zi = lzi.T @ lzi
         xz = x @ zi
         schur = np.empty((1 + m, 1 + m))
         schur[0, :] = schur[:, 0] = op(xz)
@@ -179,19 +176,11 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
         block += block.T.copy()
         block += xc.take(cidx, axis=1) * zr.take(ridx, axis=1)
         block += xr.take(ridx, axis=1) * zc.take(cidx, axis=1)
-        # M is singular to working precision near the optimum of degenerate
-        # graphs; an exactly zero pivot ends the loop at the last iterate
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                lu = lu_factor(schur, check_finite=False)
-            except LinAlgWarning:
-                break
 
         def step(target: np.ndarray):
             """HKM direction for dX Z + X dZ = target Z - X Z, and the step
             length: 0.98 of the largest keeping X and Z PSD, at most 1."""
-            dv = lu_solve(lu, op(target) - b, check_finite=False)
+            dv = np.linalg.solve(schur, op(target) - b)
             dz = adjoint(dv)
             dx = target - x - x @ dz @ zi
             dx = 0.5 * (dx + dx.T)
@@ -199,13 +188,19 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
             # feasible: zero on edges, trace one
             dx[ridx, cidx] = dx[cidx, ridx] = 0.0
             dx -= np.trace(dx) / n * np.eye(n)
-            alpha = min(1.0, 0.98 * max_step(lx, dx), 0.98 * max_step(lz, dz))
+            alpha = min(1.0, 0.98 * max_step(lxi, dx),
+                        0.98 * max_step(lzi, dz))
             return dx, dv, dz, alpha
 
-        dx, dv, dz, alpha = step(np.zeros((n, n)))
-        mu_aff = float(np.sum((x + alpha * dx) * (z + alpha * dz))) / n
-        sigma = min(1.0, (mu_aff / mu) ** 3)
-        dx, dv, dz, alpha = step((sigma * mu * np.eye(n) - dx @ dz) @ zi)
+        # M is singular to working precision near the optimum of degenerate
+        # graphs; an exactly zero pivot ends the loop at the last iterate
+        try:
+            dx, dv, dz, alpha = step(np.zeros((n, n)))
+            mu_aff = float(np.sum((x + alpha * dx) * (z + alpha * dz))) / n
+            sigma = min(1.0, (mu_aff / mu) ** 3)
+            dx, dv, dz, alpha = step((sigma * mu * np.eye(n) - dx @ dz) @ zi)
+        except np.linalg.LinAlgError:
+            break
         x_new = x + alpha * dx
         v_new = v + alpha * dv
         z_new = adjoint(v_new) - ones
@@ -247,28 +242,119 @@ def lovasz_theta(g: OrthoGraph, eps: float = 1e-6) -> float:
 # fractional packing
 
 
+PACKING_GAP = 1e-9
+
+
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha keeping v + alpha dv >= 0 (inf if unbounded)."""
+    neg = dv < 0
+    return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
+
+
+def _packing_path(rows: np.ndarray):
+    """Feasible primal-dual path following on max 1x, rows x <= 1, x >= 0
+    and its dual min 1y, rows^T y >= 1, y >= 0 (a fractional clique cover).
+
+    x and y are the iterates; the slacks s = 1 - rows x and z = rows^T y - 1
+    are recomputed from them, so every iterate is exactly feasible and
+    1y - 1x = sy + xz is the duality gap.  Mehrotra predictor-corrector on
+    the n x n normal equations, with separate primal and dual step lengths,
+    so the gap need not fall at every step.  Stops once the gap is below
+    1e-8 or has not set a new low for three steps (rounding has taken
+    over), and returns the iterate (x, y, s, z) with the lowest gap.
+    """
+    m, n = rows.shape
+    x = np.full(n, 0.5 / rows.sum(axis=1).max())
+    y = (rows * (2.0 / rows.sum(axis=0))).max(axis=1)
+    s, z = 1.0 - rows @ x, rows.T @ y - 1.0
+    gap = y.sum() - x.sum()
+    best, stale = (gap, x, y, s, z), 0
+    for _ in range(MAX_ITERATIONS):
+        if best[0] < 1e-8 or stale == 3:
+            break
+        mu = gap / (n + m)
+        normal = (rows.T * (y / s)) @ rows
+        normal[np.diag_indices(n)] += z / x
+
+        def step(r_sy: np.ndarray, r_xz: np.ndarray, frac: float):
+            """Direction for s dy + y ds = r_sy, x dz + z dx = r_xz, and the
+            primal and dual step lengths: frac of the largest keeping x, s
+            and y, z nonnegative, at most 1."""
+            dx = np.linalg.solve(normal, r_xz / x - rows.T @ (r_sy / s))
+            ds = -(rows @ dx)
+            dy = (r_sy - y * ds) / s
+            dz = rows.T @ dy
+            ap = min(1.0, frac * _step_to_boundary(x, dx),
+                     frac * _step_to_boundary(s, ds))
+            ad = min(1.0, frac * _step_to_boundary(y, dy),
+                     frac * _step_to_boundary(z, dz))
+            return dx, ds, dy, dz, ap, ad
+
+        # a normal matrix singular to working precision (a primal optimal
+        # face of positive dimension) ends the loop
+        try:
+            dx, ds, dy, dz, ap, ad = step(-s * y, -x * z, 1.0)
+            mu_aff = ((s + ap * ds) @ (y + ad * dy)
+                      + (x + ap * dx) @ (z + ad * dz)) / (n + m)
+            sigma = (mu_aff / mu) ** 3
+            dx, ds, dy, dz, ap, ad = step(sigma * mu - s * y - ds * dy,
+                                          sigma * mu - x * z - dx * dz, 0.99)
+        except np.linalg.LinAlgError:
+            break
+        x_new, y_new = x + ap * dx, y + ad * dy
+        s_new, z_new = 1.0 - rows @ x_new, rows.T @ y_new - 1.0
+        if not (s_new.min() > 0.0 and z_new.min() > 0.0):
+            break
+        x, y, s, z = x_new, y_new, s_new, z_new
+        gap = y.sum() - x.sum()
+        stale += 1
+        if gap < best[0]:
+            best, stale = (gap, x, y, s, z), 0
+    return best[1:]
+
+
+def _on_tight_set(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The point of {w : a w = 1} nearest v; the solution itself when a is
+    square and nonsingular, so a unique optimum comes out as a vertex."""
+    ones = np.ones(len(a))
+    shift, _, rank, _ = np.linalg.lstsq(a, ones - a @ v, rcond=None)
+    if rank == len(a) == len(v):
+        return np.linalg.solve(a, ones)
+    return v + shift
+
+
 def fractional_packing(g: OrthoGraph) -> tuple[float, np.ndarray]:
     """max sum x, x >= 0, sum over each maximal clique <= 1.
 
     Maximal cliques dominate all clique constraints, so the LP is the full
-    fractional packing program with fewer rows.
+    fractional packing program with fewer rows.  The interior-point iterate
+    (`_packing_path`) splits the vertices and cliques into the optimal
+    partition (x > z, y > s); the packing and the clique cover are then put
+    on the equality sets that partition makes tight.  The value is
+    certified: the packing, clipped at zero and scaled by 1/max row sum, is
+    feasible and gives the lower bound; the cover, clipped at zero with any
+    vertex covered less than once topped up on one of its cliques, gives
+    the upper bound.  A gap above 1e-9 raises NumericalFailure.
     """
     _check_size(g)
     cliques = maximal_cliques(g)
     rows = np.zeros((len(cliques), g.n))
     for k, clique in enumerate(cliques):
         rows[k, list(clique)] = 1.0
-    res = linprog(c=-np.ones(g.n), A_ub=rows, b_ub=np.ones(len(cliques)),
-                  bounds=[(0, None)] * g.n, method="highs")
-    if not res.success:
-        raise NumericalFailure(f"LP failed: {res.message}", np.nan)
-    weights = np.asarray(res.x)
-    slack = rows @ weights - 1.0
-    if slack.max() > 1e-9:
+    x, y, s, z = _packing_path(rows)
+    support, tight = x > z, y > s
+    a = rows[np.ix_(tight, support)]
+    weights, cover = np.zeros(g.n), np.zeros(len(rows))
+    weights[support] = np.maximum(_on_tight_set(a, x[support]), 0.0)
+    cover[tight] = np.maximum(_on_tight_set(a.T, y[tight]), 0.0)
+    weights /= max(1.0, float((rows @ weights).max()))
+    lower = float(weights.sum())
+    upper = float(cover.sum() + np.maximum(1.0 - rows.T @ cover, 0.0).sum())
+    if not upper - lower <= PACKING_GAP:
         raise NumericalFailure(
-            f"LP weights violate a clique constraint by {slack.max():.3e}",
-            float(slack.max()))
-    return float(weights.sum()), weights
+            f"packing gap {upper - lower:.3e} above target {PACKING_GAP:.1e}",
+            upper - lower)
+    return lower, weights
 
 
 # ---------------------------------------------------------------------------

@@ -159,15 +159,17 @@ def cmd_fraction(args) -> int:
           else measure.colored_fraction_complex)
     if args.scan:
         lo, hi = _parse_scan(args.scan)
-        print("dimension,fraction")
-        for d in range(lo, hi + 1):
-            print(f"{d},{_fmt(fn(d))}")
+        dims = list(range(lo, hi + 1))
+        fracs = [fn(d) for d in dims]
+        _emit(args.json, {"dimensions": dims, "fractions": fracs},
+              ["dimension,fraction",
+               *(f"{d},{_fmt(f)}" for d, f in zip(dims, fracs))])
         return 0
     if args.dim is None:
         raise rays.ParseError("measure fraction needs --dim or --scan")
     exact = fn(args.dim)
     record, lines = {"closed_form": exact}, [f"closed form: {_fmt(exact)}"]
-    if args.mc:
+    if args.mc is not None:
         est, est_lines = _estimate(measure.mc_colored_fraction(
             args.field, args.dim, args.mc, args.seed))
         record, lines = record | est, lines + est_lines
@@ -257,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.add_argument("--scan", metavar="LO:HI",
                    help="CSV of closed-form values for dimensions LO..HI, "
-                        "2 <= LO <= HI (columns: dimension, fraction)")
+                        "2 <= LO <= HI (columns: dimension, fraction); with "
+                        "--json one record of dimensions and fractions")
     q.set_defaults(fn=cmd_fraction)
 
     q = msub.add_parser("bases", help="fraction of fully colored real bases")

@@ -16,11 +16,11 @@ check the reduction against it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .rays import COMPLEX, REAL, Ray, _canonical_rows, canonicalize
 from .rng import chunks, gaussian_rows
@@ -86,17 +86,40 @@ def colored_fraction_complex(N: int) -> float:
     return 1.0 - (1.0 - 1.0 / N) ** (N - 1) + 0.5 ** (N - 1)
 
 
+def _betainc_half_terms(b: float, x: float):
+    """I_x(1/2, b) for b in {1/2, 1, 3/2, ...} as a stream of positive terms.
+
+    Finite recurrence in b (DLMF 8.17(iv) with a = 1/2), started from
+    I_x(1/2, 1/2) = (2/pi) asin sqrt x or I_x(1/2, 1) = sqrt x; each added
+    term x^(1/2) (1-x)^c / (c B(1/2, c)) is the previous one times
+    (1-x)(c+1/2)/(c+1).  Terms that have underflowed to zero are not
+    generated.
+    """
+    if b % 1:
+        total, term, c = (2 / math.pi * math.asin(math.sqrt(x)),
+                          2 / math.pi * math.sqrt(x * (1 - x)), 0.5)
+    else:
+        total, term, c = math.sqrt(x), math.sqrt(x) * (1 - x) / 2, 1.0
+    yield total
+    while c < b and term:
+        yield term
+        term *= (1 - x) * (c + 0.5) / (c + 1)
+        c += 1
+
+
 def colored_fraction_real(d: int) -> float:
     """P(|x_0| > 1/sqrt2) + P(|x_0| < 1/sqrt d) for x uniform on the sphere.
 
     x_0^2 follows Beta(1/2, (d-1)/2), so both terms are regularized
-    incomplete beta values.
+    incomplete beta values; their recurrence terms are summed with one
+    correctly rounded math.fsum, in O(d) time.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    a, b = 0.5, (d - 1) / 2.0
-    return float(1.0 - special.betainc(a, b, 0.5)
-                 + special.betainc(a, b, 1.0 / d))
+    b = (d - 1) / 2.0
+    return math.fsum(itertools.chain(
+        [1.0], (-t for t in _betainc_half_terms(b, 0.5)),
+        _betainc_half_terms(b, 1.0 / d)))
 
 
 @dataclass(frozen=True)

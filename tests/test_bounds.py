@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ksray import (
     bounds_report, canonicalize, ceg18, complete_graph, cube13,
@@ -191,6 +193,58 @@ def test_packing_weights_feasible_on_catalogs():
         assert weights.min() > -1e-12
         for clique in maximal_cliques(g):
             assert weights[list(clique)].sum() <= 1.0 + 1e-9
+
+
+# the five catalogs and seeded G(n, 0.5) up to the 64-vertex guard
+PACKING_CATALOGS = {"cube13": cube13, "peres24": peres24, "kcbs5": kcbs5,
+                    "ceg18": ceg18, "three_cubes": lambda: three_cubes(0.0)}
+PACKING_GRAPHS = [*PACKING_CATALOGS, *(f"G{n}-0.5" for n in range(16, 65, 8))]
+
+
+@functools.cache
+def _packing_case(name):
+    """(clique rows, ksray's packing, HiGHS's value and clique cover)."""
+    if name in PACKING_CATALOGS:
+        g = ortho_graph(PACKING_CATALOGS[name]())
+    else:
+        n = int(name[1:3])
+        upper = np.triu(stream_rng(2014, n).random((n, n)) < 0.5, 1)
+        g = from_edges(n, list(zip(*np.nonzero(upper))), dimension=3)
+    cliques = maximal_cliques(g)
+    rows = np.zeros((len(cliques), g.n))
+    for k, clique in enumerate(cliques):
+        rows[k, list(clique)] = 1.0
+    res = linprog(-np.ones(g.n), A_ub=rows, b_ub=np.ones(len(rows)),
+                  bounds=(0, None), method="highs")
+    assert res.success
+    return rows, fractional_packing(g), -res.fun, -res.ineqlin.marginals
+
+
+@pytest.mark.parametrize("name", PACKING_GRAPHS)
+def test_packing_matches_highs(name):
+    _, (value, _), highs, _ = _packing_case(name)
+    assert abs(value - highs) <= 1e-9
+
+
+@pytest.mark.parametrize("name", PACKING_GRAPHS)
+def test_packing_gap_certified_by_highs_cover(name):
+    """The returned packing is feasible, and HiGHS's clique cover, topped up
+    to cover every vertex once, is within 1e-9 above its value."""
+    rows, (value, weights), _, cover = _packing_case(name)
+    assert weights.min() >= 0.0 and (rows @ weights).max() <= 1.0 + 1e-12
+    assert value == weights.sum()
+    cover = np.maximum(cover, 0.0)
+    upper = cover.sum() + np.maximum(1.0 - rows.T @ cover, 0.0).sum()
+    assert upper - value <= 1e-9
+
+
+def test_packing_open_gap_is_numerical(monkeypatch):
+    real = bounds_mod._on_tight_set
+    monkeypatch.setattr(bounds_mod, "_on_tight_set",
+                        lambda a, v: 0.9 * real(a, v))
+    with pytest.raises(NumericalFailure, match="packing gap"):
+        fractional_packing(cycle_graph(5))
+    assert run(["bounds", "--set", "kcbs5"]) == 1
 
 
 # --- combined report --------------------------------------------------------

@@ -1,9 +1,14 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import ksray
 from ksray import graph_from_json, load_rayset, operators
 from ksray.cli import build_parser, run
 
@@ -160,13 +165,19 @@ RECORDS = [  # (command line, exact stdout), text and --json forms
     ("bounds --set kcbs5 --json",
      '{"alpha": 2, "alpha_star": 2.5, "independent_set": [1, 4], '
      '"packing_weights": [0.5, 0.5, 0.5, 0.5, 0.5], '
-     '"theta": 2.236067977489446, "theta_gap": 3.3728131398902406e-11}\n'),
+     '"theta": 2.2360679774894465, "theta_gap": 3.3727687309692556e-11}\n'),
     ("measure fraction --field real --dim 4 --mc 3000 --seed 2",
      "closed form: 0.79068789486\nvalue: 0.782666666667 "
      "stderr: 0.00752993040153 samples: 3000 seed: 2\n"),
     ("measure fraction --field real --dim 4 --mc 3000 --seed 2 --json",
-     '{"closed_form": 0.7906878948604382, "samples": 3000, "seed": 2, '
+     '{"closed_form": 0.7906878948604386, "samples": 3000, "seed": 2, '
      '"stderr": 0.00752993040152775, "value": 0.7826666666666666}\n'),
+    ("measure fraction --field real --scan 2:5",
+     "dimension,fraction\n2,1\n3,0.870243488003\n4,0.79068789486\n"
+     "5,0.742215557217\n"),
+    ("measure fraction --field real --scan 2:5 --json",
+     '{"dimensions": [2, 3, 4, 5], "fractions": [1.0, 0.8702434880030782, '
+     '0.7906878948604386, 0.7422155572167566]}\n'),
     ("measure fraction --field complex --dim 3",
      "closed form: 0.805555555556\n"),
     ("measure fraction --field complex --dim 3 --json",
@@ -197,6 +208,8 @@ def test_record_output_pinned(capsys, line, expected):
 
 
 @pytest.mark.parametrize("line,message", [
+    ("measure fraction --field real --dim 3 --mc 0",
+     "error: samples must be >= 1"),
     ("measure bases --dim 1 --mc 0", "error: d must be >= 2"),
     ("measure validity --field real --dim 1 --mc 0",
      "error: samples must be >= 1"),
@@ -208,6 +221,28 @@ def test_budget_error_precedence(capsys, line, message):
     code, out, err = capture(capsys, line.split())
     assert code == 2 and out == ""
     assert err.splitlines() == [message]
+
+
+def test_runs_without_scipy():
+    """With scipy unimportable, the package and two scipy-era commands
+    still run, and no scipy module gets loaded."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import ksray, ksray.cli
+        for line in ("bounds --set kcbs5 --json",
+                     "measure fraction --field real --scan 2:64"):
+            assert ksray.cli.run(line.split()) == 0, line
+        loaded = [m for m in sys.modules
+                  if m.startswith("scipy") and sys.modules[m] is not None]
+        assert not loaded, loaded
+    """)
+    src = os.path.dirname(os.path.dirname(ksray.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith('{"alpha": 2, "alpha_star": 2.5')
 
 
 def test_file_overrides_set(tmp_path, capsys):

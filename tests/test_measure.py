@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -92,6 +93,22 @@ def test_real_fraction_against_quadrature():
         belt, _ = integrate.quad(dens, 0, 1 / math.sqrt(d))
         oracle = (2 * cap + 2 * belt) / z
         assert abs(colored_fraction_real(d) - oracle) < 1e-10
+
+
+def test_real_fraction_against_mpmath_and_scipy():
+    """The recurrence against 30-digit incomplete beta values (2e-15) and
+    against scipy's betainc (1e-14), d = 2..200."""
+    with mpmath.workdps(30):
+        for d in range(2, 201):
+            a, b = mpmath.mpf(1) / 2, mpmath.mpf(d - 1) / 2
+            exact = (1 - mpmath.betainc(a, b, 0, a, regularized=True)
+                     + mpmath.betainc(a, b, 0, 1 / mpmath.mpf(d),
+                                      regularized=True))
+            scipy_value = (1.0 - special.betainc(0.5, (d - 1) / 2, 0.5)
+                           + special.betainc(0.5, (d - 1) / 2, 1.0 / d))
+            value = colored_fraction_real(d)
+            assert abs(value - float(exact)) <= 2e-15, d
+            assert abs(value - scipy_value) <= 1e-14, d
 
 
 def test_real_fraction_large_d_near_erf():
