@@ -14,15 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho import NumericalFailure, OrthoGraph, TooLarge, maximal_cliques
+from .ortho import (NumericalFailure, OrthoGraph, TooLarge, _bits,
+                    _neighbor_masks, maximal_cliques)
 
 SIZE_GUARD = 64
 MAX_ITERATIONS = 100
 
 
-def _check_size(g: OrthoGraph) -> None:
+def _check_size(g: OrthoGraph, empty_ok: bool = False) -> None:
     if g.n > SIZE_GUARD:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {SIZE_GUARD}")
+    if g.n == 0 and not empty_ok:
+        raise ValueError("the graph has no vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -35,24 +38,12 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
     Branch and bound on the complement (max clique there), pruned by a
     greedy coloring bound; vertices are bitmasks so set algebra is cheap.
     """
-    _check_size(g)
-    n = g.n
-    comp = []
-    for v in range(n):
-        mask = 0
-        for u in range(n):
-            if u != v and not g.adjacency[v, u]:
-                mask |= 1 << u
-        comp.append(mask)
-
+    _check_size(g, empty_ok=True)
+    full = (1 << g.n) - 1
+    comp = [full & ~nbrs & ~(1 << v)
+            for v, nbrs in enumerate(_neighbor_masks(g))]
     best_size = 0
     best_mask = 0
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     def expand(current: int, size: int, cand: int) -> None:
         nonlocal best_size, best_mask
@@ -63,7 +54,7 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
         # greedy coloring of the candidates; color index bounds the clique
         classes: list[int] = []
         color: dict[int, int] = {}
-        for v in bits(cand):
+        for v in _bits(cand):
             for ci, cmask in enumerate(classes):
                 if not (cmask & comp[v]):
                     classes[ci] |= 1 << v
@@ -78,8 +69,8 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
             expand(current | (1 << v), size + 1, cand & comp[v])
             cand &= ~(1 << v)
 
-    expand(0, 0, (1 << n) - 1)
-    witness = tuple(sorted(bits(best_mask)))
+    expand(0, 0, full)
+    witness = tuple(_bits(best_mask))
     for a, b in itertools.combinations(witness, 2):
         if g.adjacency[a, b]:
             raise NumericalFailure("witness not independent", np.nan)

@@ -290,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "emit" and not args.name:
-        parser.error("catalog emit needs a set name")
+    if (args.command == "catalog" and args.action == "emit"
+            and not (args.name or args.file)):
+        parser.error("catalog emit needs a set name or --file")
     if args.command == "catalog" and args.name:
         args.name = args.name.replace("_", "-")
     try:

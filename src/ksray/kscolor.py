@@ -10,8 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .ortho import (OrthoGraph, TooLarge, basis_incidence, complete_bases,
-                    from_edges)
+from .ortho import (OrthoGraph, TooLarge, _bits, _neighbor_masks,
+                    basis_incidence, complete_bases)
 
 
 class Color(enum.Enum):
@@ -55,80 +55,70 @@ class KSVerdict:
 class _Searcher:
     """Backtracking with unit propagation over Red/Green assignments.
 
-    Branch order: vertices by descending degree (index on ties), Red tried
-    before Green.  Propagation: a Red vertex greens its neighbors; a basis
-    with a Red greens its rest; a basis with all but one Green reddens the
-    last; a fully Green basis is a conflict.
+    A partial coloring is the pair of bitmasks (red, green).  Branch order:
+    vertices by descending degree (index on ties), Red tried before Green.
+    Propagation: a Red vertex greens its neighbors; a basis with a Red
+    greens its rest; a basis with all but one Green reddens the last; a
+    fully Green basis is a conflict.
     """
 
     def __init__(self, g: OrthoGraph, bases):
         self.n = g.n
-        self.nbrs = [g.adjacency[v].nonzero()[0].tolist() for v in range(g.n)]
-        self.bases = [tuple(b) for b in bases]
-        self.in_bases = [[] for _ in range(g.n)]
-        for k, b in enumerate(self.bases):
+        self.nbrs = _neighbor_masks(g)
+        self.in_bases: list[list[int]] = [[] for _ in range(g.n)]
+        for b in bases:
+            mask = sum(1 << v for v in b)
             for v in b:
-                self.in_bases[v].append(k)
-        self.order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        self.color: list[Color | None] = [None] * g.n
-        self.trail: list[int] = []
+                self.in_bases[v].append(mask)
+        self.order = sorted(range(g.n),
+                            key=lambda v: (-self.nbrs[v].bit_count(), v))
         self.nodes = 0
         self.witness: tuple[Color, ...] | None = None
 
-    def _propagate(self, queue: list[int]) -> bool:
+    def _propagate(self, red: int, green: int, queue: list[int]):
+        """The fixpoint (red, green) of the rules from the queued vertices,
+        or None on a conflict."""
         while queue:
             v = queue.pop()
-            if self.color[v] is Color.RED:
-                for u in self.nbrs[v]:
-                    if self.color[u] is Color.RED:
-                        return False
-                    if self.color[u] is None:
-                        self.color[u] = Color.GREEN
-                        self.trail.append(u)
-                        queue.append(u)
-            for k in self.in_bases[v]:
-                b = self.bases[k]
-                reds = sum(1 for u in b if self.color[u] is Color.RED)
-                if reds > 1:
-                    return False
-                unset = [u for u in b if self.color[u] is None]
-                if reds == 1:
-                    for u in unset:
-                        self.color[u] = Color.GREEN
-                        self.trail.append(u)
-                        queue.append(u)
+            if red >> v & 1:
+                if self.nbrs[v] & red:
+                    return None
+                new = self.nbrs[v] & ~green
+                green |= new
+                queue.extend(_bits(new))
+            for b in self.in_bases[v]:
+                reds, unset = b & red, b & ~(red | green)
+                if reds & (reds - 1):
+                    return None
+                if reds:
+                    green |= unset
+                    queue.extend(_bits(unset))
                 elif not unset:
-                    return False  # fully green basis
-                elif len(unset) == 1:
-                    u = unset[0]
-                    self.color[u] = Color.RED
-                    self.trail.append(u)
-                    queue.append(u)
-        return True
+                    return None  # fully green basis
+                elif not unset & (unset - 1):
+                    red |= unset
+                    queue.append(unset.bit_length() - 1)
+        return red, green
 
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            self.color[self.trail.pop()] = None
-
-    def search(self, limit: int | None = None) -> int:
-        """Count total colorings, stopping once limit of them are found.
+    def search(self, red: int = 0, green: int = 0,
+               limit: int | None = None) -> int:
+        """Count the colorings extending (red, green), stopping once limit
+        of them are found.
 
         The first coloring reached is kept in self.witness.
         """
         self.nodes += 1
-        v = next((u for u in self.order if self.color[u] is None), None)
+        v = next((u for u in self.order if not (red | green) >> u & 1), None)
         if v is None:
             if self.witness is None:
-                self.witness = tuple(self.color)
+                self.witness = tuple(Color.RED if red >> u & 1 else Color.GREEN
+                                     for u in range(self.n))
             return 1
         total = 0
-        for c in (Color.RED, Color.GREEN):
-            mark = len(self.trail)
-            self.color[v] = c
-            self.trail.append(v)
-            if self._propagate([v]):
-                total += self.search(limit)
-            self._undo(mark)
+        for branch in ((red | 1 << v, green), (red, green | 1 << v)):
+            state = self._propagate(*branch, [v])
+            if state is not None:
+                total += self.search(*state, limit=limit)
             if limit is not None and total >= limit:
                 break
         return total
@@ -188,23 +178,14 @@ COUNT_GUARD = 36
 def count_colorings(g: OrthoGraph, bases=None) -> int:
     """Exact number of valid total colorings, by counting backtracking.
 
-    Vertices with no edges and no basis membership are unconstrained and
-    factored out as a power of two.
+    Vertices with no edges and no basis membership are unconstrained: they
+    are pre-colored Green and factored out as a power of two.
     """
     if g.n > COUNT_GUARD:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {COUNT_GUARD}")
     if bases is None:
         bases = complete_bases(g)
-    in_any_basis = set()
-    for b in bases:
-        in_any_basis.update(b)
-    free = [v for v in range(g.n)
-            if g.degree(v) == 0 and v not in in_any_basis]
-    if len(free) == g.n:
-        return 2 ** g.n
-    sub = [v for v in range(g.n) if v not in free]
-    remap = {v: k for k, v in enumerate(sub)}
-    h = from_edges(len(sub), [(remap[i], remap[j]) for i, j in g.edges],
-                   g.dimension)
-    hbases = [tuple(remap[v] for v in b) for b in bases]
-    return _Searcher(h, hbases).search() * (2 ** len(free))
+    searcher = _Searcher(g, bases)
+    free = sum(1 << v for v in range(g.n)
+               if not searcher.nbrs[v] and not searcher.in_bases[v])
+    return searcher.search(green=free) * 2 ** free.bit_count()

@@ -114,28 +114,44 @@ def empty_graph(n: int, dimension: int) -> OrthoGraph:
 # cliques and bases
 
 
+def _neighbor_masks(g: OrthoGraph) -> list[int]:
+    """Adjacency rows as ints: bit u of entry v is set when u ~ v."""
+    rows = np.packbits(g.adjacency.astype(bool, copy=False), axis=1,
+                       bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def maximal_cliques(g: OrthoGraph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each once, in lexicographic order.
 
-    Bron-Kerbosch with pivoting on the candidate/excluded sets; the pivot is
-    the vertex covering the most candidates, lowest index on ties, so the
-    recursion itself is deterministic even before the final sort.
+    Bron-Kerbosch with pivoting on the candidate/excluded sets, held as
+    bitmasks; the pivot is the vertex covering the most candidates, lowest
+    index on ties, so the recursion itself is deterministic even before the
+    final sort.
     """
-    nbrs = [frozenset(np.flatnonzero(g.adjacency[v]).tolist())
-            for v in range(g.n)]
+    nbrs = _neighbor_masks(g)
     out: list[tuple[int, ...]] = []
 
-    def extend(clique: list[int], cand: set[int], excl: set[int]) -> None:
+    def extend(clique: int, cand: int, excl: int) -> None:
         if not cand and not excl:
-            out.append(tuple(sorted(clique)))
+            out.append(tuple(_bits(clique)))
             return
-        pivot = max(sorted(cand | excl), key=lambda u: len(cand & nbrs[u]))
-        for v in sorted(cand - nbrs[pivot]):
-            extend(clique + [v], cand & nbrs[v], excl & nbrs[v])
-            cand.remove(v)
-            excl.add(v)
+        pivot = max(_bits(cand | excl),
+                    key=lambda u: (cand & nbrs[u]).bit_count())
+        for v in _bits(cand & ~nbrs[pivot]):
+            extend(clique | 1 << v, cand & nbrs[v], excl & nbrs[v])
+            cand &= ~(1 << v)
+            excl |= 1 << v
 
-    extend([], set(range(g.n)), set())
+    extend(0, (1 << g.n) - 1, 0)
     return sorted(out)
 
 
@@ -278,12 +294,14 @@ def unbiased_basis_triples(rs: RaySet, tol: float = 1e-12):
         return bool(np.all(np.abs(ov - target) < tol))
 
     result = None
+    full = (1 << n) - 1
+    masks = [sum(1 << v for v in b) for b in bases]
 
-    def cover(used: set[int], chosen: list[tuple[int, ...]]):
+    def cover(used: int, chosen: list[tuple[int, ...]]):
         nonlocal result
         if result is not None:
             return
-        if len(used) == n:
+        if used == full:
             k = len(chosen)
             rel = [[unbiased(chosen[a], chosen[b]) for b in range(k)]
                    for a in range(k)]
@@ -294,16 +312,16 @@ def unbiased_basis_triples(rs: RaySet, tol: float = 1e-12):
                     result = (list(chosen), tri, rest)
                     return
             return
-        lo = min(v for v in range(n) if v not in used)
-        for b in bases:
-            if lo in b and not (set(b) & used):
+        lo = next(_bits(full & ~used))  # the lowest uncovered vertex
+        for b, mask in zip(bases, masks):
+            if mask >> lo & 1 and not mask & used:
                 chosen.append(b)
-                cover(used | set(b), chosen)
+                cover(used | mask, chosen)
                 chosen.pop()
                 if result is not None:
                     return
 
-    cover(set(), [])
+    cover(0, [])
     return result
 
 

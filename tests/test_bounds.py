@@ -62,6 +62,30 @@ def test_alpha_random_graphs(seed):
     assert alpha == brute_alpha(g)
 
 
+@pytest.mark.parametrize("n,p,isolated", [
+    (n, p, isolated) for n in (8, 24, 40, 64) for p in (0.15, 0.3, 0.5)
+    for isolated in (0, 3)])
+def test_alpha_against_networkx(n, p, isolated):
+    nx = pytest.importorskip("networkx")
+    adj = np.triu(stream_rng(1960, n).random((n, n)) < p, 1)
+    adj[:isolated] = adj[:, :isolated] = False
+    g = from_edges(n, list(zip(*np.nonzero(adj))), dimension=3)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges)
+    alpha, witness = independence_number(g)
+    assert alpha == len(witness)
+    assert alpha == nx.max_weight_clique(nx.complement(h), weight=None)[1]
+
+
+def test_empty_graph_has_no_theta_or_packing():
+    g = empty_graph(0, 3)
+    assert independence_number(g) == (0, ())
+    for bound in (theta_certificate, fractional_packing, bounds_report):
+        with pytest.raises(ValueError, match="no vertices"):
+            bound(g)
+
+
 def test_alpha_guard():
     with pytest.raises(TooLarge):
         independence_number(empty_graph(65, 3))

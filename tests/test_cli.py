@@ -255,6 +255,23 @@ def test_file_overrides_set(tmp_path, capsys):
     assert graph_from_json(out2).n == 5
 
 
+def test_catalog_emit_from_file(tmp_path, capsys):
+    _, text, _ = capture(capsys, ["catalog", "emit", "kcbs5"])
+    path = tmp_path / "pent.json"
+    path.write_text(text, encoding="utf-8")
+    assert capture(capsys, ["catalog", "emit", "--file", str(path)]) == \
+        (0, text, "")
+
+
+def test_catalog_emit_needs_name_or_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["catalog", "emit"])
+    assert exc.value.code == 2
+    assert "catalog emit needs a set name or --file" in capsys.readouterr().err
+    code, out, err = capture(capsys, ["catalog", "emit", "nosuch"])
+    assert code == 2 and out == "" and "unknown set 'nosuch'" in err
+
+
 def test_unknown_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

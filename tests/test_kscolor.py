@@ -1,13 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ksray import (
     Color, ExhaustionProof, ParityCertificate, TooLarge, ceg18,
     complete_bases, complete_graph, count_colorings, cube13, empty_graph,
-    from_edges, kcbs5, ks_solve, ortho_graph, peres24, three_cubes,
-    verify_coloring,
+    from_edges, kcbs5, ks_solve, ortho_graph, peres24, stream_rng,
+    three_cubes, verify_coloring,
 )
 
 R, G = Color.RED, Color.GREEN
@@ -138,6 +139,19 @@ def test_count_matches_bruteforce_on_small_graphs():
     g = ortho_graph(kcbs5())
     bases = complete_bases(g)  # empty: no triangles in C5
     assert count_colorings(g, bases) == brute_count(g, bases)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_count_against_verified_bruteforce(k):
+    n = 9 + k
+    adj = np.triu(stream_rng(1414, k).random((n, n)) < 0.45, 1)
+    adj[:2] = adj[:, :2] = False  # two free vertices
+    g = from_edges(n, list(zip(*np.nonzero(adj))), dimension=2 + k % 2)
+    bases = complete_bases(g)
+    assert bases
+    want = sum(verify_coloring(g, bases, coloring)[0]
+               for coloring in itertools.product((R, G), repeat=n))
+    assert count_colorings(g, bases) == want
 
 
 def test_count_guard():

@@ -66,6 +66,26 @@ def test_maximal_cliques_against_bruteforce(seed):
     assert maximal_cliques(g) == brute_maximal_cliques(g)
 
 
+def _seeded_graph(k, n, p, isolated):
+    """G(n, p) from stream_rng(1977, k), its first `isolated` vertices cut
+    off from the rest."""
+    adj = np.triu(stream_rng(1977, k).random((n, n)) < p, 1)
+    adj[:isolated] = adj[:, :isolated] = False
+    return from_edges(n, list(zip(*np.nonzero(adj))), dimension=3)
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_maximal_cliques_against_networkx(k):
+    nx = pytest.importorskip("networkx")
+    g = _seeded_graph(k, n=4 + 3 * k, p=(0.2, 0.4, 0.6)[k % 3],
+                      isolated=k % 4)
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    assert maximal_cliques(g) == sorted(
+        tuple(sorted(c)) for c in nx.find_cliques(h))
+
+
 def test_maximal_cliques_deterministic():
     g = ortho_graph(peres24())
     assert maximal_cliques(g) == maximal_cliques(g)
