@@ -2,7 +2,7 @@
 and cap-and-belt coloring measures."""
 
 from .rays import (
-    Ray, RaySet, canonicalize, build_rayset, CATALOGS,
+    RaySet, canonicalize, build_rayset, CATALOGS,
     cube13, peres24, three_cubes, kcbs5, ceg18, cube_members,
     load_rayset, rayset_to_json,
     ZeroVector, FieldMismatch, ParseError, InvariantViolation,
@@ -19,7 +19,7 @@ from .kscolor import (
     ks_solve, verify_coloring, count_colorings,
 )
 from .bounds import (
-    BoundsReport, ThetaCertificate, independence_number, lovasz_theta,
+    BoundsReport, ThetaCertificate, independence_number,
     theta_certificate, fractional_packing, bounds_report, NumericalFailure,
 )
 from .operators import (
@@ -30,7 +30,7 @@ from .operators import (
 from .measure import (
     Region, RegionColoring, MCEstimate, classify,
     colored_fraction_complex, colored_fraction_real,
-    sample_ray, sample_rays, sample_bases,
+    sample_rays,
     mc_colored_fraction, region_validity_mc, basis_colored_fraction_mc,
     Quadrant, SeparableState, separable_quadrant, separable_to_ray,
     separable_validity_mc, pole_counterexample,

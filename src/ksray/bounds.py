@@ -225,10 +225,6 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
                             edge_duals=y)
 
 
-def lovasz_theta(g: OrthoGraph, eps: float = 1e-6) -> float:
-    return theta_certificate(g, eps).value
-
-
 # ---------------------------------------------------------------------------
 # fractional packing
 

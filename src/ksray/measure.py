@@ -9,8 +9,8 @@ exactly on the cap boundary, and the boundary set has measure zero anyway.
 The basis measures classify each member of a Haar basis by its first
 coordinate.  Those d first coordinates are the first row of a Haar unitary,
 which by transpose invariance is itself a uniform ray, so the Monte Carlo
-draws rays, not bases.  `sample_bases` draws whole Haar bases; the tests
-check the reduction against it.
+draws rays, not bases; the tests check the reduction against whole Haar
+bases.  A ray is a canonical row, as returned by `canonicalize`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import COMPLEX, REAL, Ray, _canonical_rows, canonicalize
+from .rays import COMPLEX, REAL, _canonical_rows, canonicalize
 from .rng import chunks, gaussian_rows
 
 
@@ -61,13 +61,13 @@ class RegionColoring:
 
 
 def classify(rc: RegionColoring, ray) -> Region:
-    """Red, Green, or Uncolored for one ray; phase-invariant by construction."""
-    if isinstance(ray, Ray):
-        if ray.field != rc.field:
-            raise ValueError("ray field does not match the coloring")
-        comps = ray.components
-    else:
-        comps = np.asarray(ray)
+    """Red, Green, or Uncolored for one ray; phase-invariant by construction.
+
+    A real coloring rejects a ray with a nonzero imaginary part.
+    """
+    comps = np.asarray(ray)
+    if rc.field == REAL and np.any(np.imag(comps)):
+        raise ValueError("ray field does not match the coloring")
     if comps.shape != (rc.dimension,):
         raise ValueError("ray dimension does not match the coloring")
     red, green = rc.masks(abs(comps[0]) if rc.field == REAL
@@ -144,26 +144,6 @@ def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
     """n uniform rays as rows, canonicalized; normalized Gaussian vectors."""
     rows = _canonical_rows(gaussian_rows(rng, n, d, field), field)
     return rows.real if field == REAL else rows
-
-
-def sample_ray(field: str, d: int, rng) -> Ray:
-    """One uniform (Fubini-Study for complex, spherical for real) ray."""
-    return canonicalize(gaussian_rows(rng, 1, d, field)[0], field)
-
-
-def sample_bases(field: str, d: int, n: int, rng) -> np.ndarray:
-    """n Haar orthonormal bases, shape (n, d, d), basis vectors in columns.
-
-    QR of an i.i.d. Gaussian matrix, with the phase of each diagonal entry
-    of R moved into Q (Mezzadri, Notices AMS 54, 2007): that is the
-    positive-diagonal convention that makes the distribution Haar.  An
-    exactly zero r_ii has measure zero and keeps phase 1.
-    """
-    Q, R = np.linalg.qr(gaussian_rows(rng, n, d * d, field).reshape(n, d, d))
-    r = np.diagonal(R, axis1=1, axis2=2)
-    absr = np.abs(r)
-    phase = np.divide(r, absr, out=np.ones_like(r), where=absr > 0)
-    return Q * phase[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +284,7 @@ def _qubit(theta: float, phi: float) -> np.ndarray:
                      math.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
-def separable_to_ray(s: SeparableState) -> Ray:
+def separable_to_ray(s: SeparableState) -> np.ndarray:
     """The product state as a canonicalized ray in C^4."""
     return canonicalize(np.kron(_qubit(s.theta_a, s.phi_a),
                                 _qubit(s.theta_b, s.phi_b)), COMPLEX)

@@ -11,7 +11,10 @@ import numpy as np
 from .rays import REAL, InvariantViolation, RaySet, build_rayset
 from .rng import gaussian_rows, stream_rng
 
-_INDEX = (int, np.integer)  # bool is an int too; from_edges rejects it by type
+
+def _is_int(x) -> bool:
+    """An int or numpy integer; bool is an int too, and is rejected by type."""
+    return isinstance(x, (int, np.integer)) and type(x) is not bool
 
 
 class TooLarge(ValueError):
@@ -50,6 +53,9 @@ class OrthoGraph:
     vertex_labels: tuple[str, ...]
 
     def __post_init__(self):
+        if not _is_int(self.dimension) or self.dimension < 2:
+            raise ValueError("dimension must be an integer >= 2, "
+                             f"got {self.dimension!r}")
         a = self.adjacency
         if a.shape != (self.n, self.n):
             raise ValueError("adjacency shape mismatch")
@@ -80,11 +86,16 @@ def ortho_graph(rs: RaySet, tol: float = 1e-9) -> OrthoGraph:
 
 
 def from_edges(n: int, edges, dimension: int, labels=None) -> OrthoGraph:
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    try:
+        pairs = [(i, j) for i, j in edges]
+    except (TypeError, ValueError):
+        raise ValueError("edges must be a list of vertex pairs") from None
     adj = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        if (not (isinstance(i, _INDEX) and isinstance(j, _INDEX))
-                or type(i) is bool or type(j) is bool):
-            raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
+    for i, j in pairs:
+        if not (_is_int(i) and _is_int(j)):
+            raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(
                 f"edge ({i}, {j}) has an endpoint outside range({n})")
@@ -336,5 +347,13 @@ def graph_to_json(g: OrthoGraph) -> str:
 
 
 def graph_from_json(text: str) -> OrthoGraph:
+    """Read the graph_to_json format; malformed input raises ValueError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("graph JSON must be an object")
+    for key in ("n", "edges", "dimension"):
+        if key not in obj:
+            raise ValueError(f"graph JSON is missing field {key!r}")
+    if not isinstance(obj["edges"], list):
+        raise ValueError("edges must be a list of vertex pairs")
     return from_edges(obj["n"], obj["edges"], obj["dimension"])

@@ -42,22 +42,6 @@ class InvariantViolation(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True, eq=False)
-class Ray:
-    """Unit vector modulo global phase, with canonical phase fixed.
-
-    Rays compare and hash by identity; compare values with np.array_equal
-    on components.
-    """
-
-    dimension: int
-    field: str
-    components: np.ndarray
-
-    def inner(self, other: "Ray") -> complex:
-        return complex(np.vdot(self.components, other.components))
-
-
 def _canonical_rows(M, field: str) -> np.ndarray:
     """Canonical form of each row of an (n, d) array, as a new complex array.
 
@@ -100,9 +84,10 @@ def _canonical_rows(M, field: str) -> np.ndarray:
     return V.real.astype(np.complex128) if field == REAL else V
 
 
-def canonicalize(components, field: str = REAL) -> Ray:
-    """Normalize and phase-fix a raw component list into a Ray.
+def canonicalize(components, field: str = REAL) -> np.ndarray:
+    """Normalize and phase-fix a raw component list into a canonical ray.
 
+    The ray is a read-only complex 1-D array, a row as in RaySet.matrix.
     Idempotent: feeding the output back in reproduces it to 1e-15
     componentwise.  Raises ZeroVector when the norm is at most 1e-12,
     FieldMismatch when field is "real" but an imaginary part is nonzero, and
@@ -113,7 +98,7 @@ def canonicalize(components, field: str = REAL) -> Ray:
     except InvariantViolation as exc:
         raise exc.__cause__ from None  # a lone vector has no index to report
     v.setflags(write=False)
-    return Ray(dimension=v.size, field=field, components=v)
+    return v
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,9 +8,9 @@ import pytest
 from scipy.optimize import linprog
 
 from ksray import (
-    bounds_report, canonicalize, ceg18, complete_graph, cube13,
+    bounds_report, ceg18, complete_graph, cube13,
     cycle_graph, empty_graph, fractional_packing, from_edges,
-    independence_number, kcbs5, lovasz_theta, maximal_cliques, ortho_graph,
+    independence_number, kcbs5, maximal_cliques, ortho_graph,
     peres24, stream_rng, theta_certificate, three_cubes,
 )
 from ksray import bounds as bounds_mod
@@ -94,16 +94,16 @@ def test_alpha_guard():
 # --- Lovasz theta -----------------------------------------------------------
 
 def test_theta_c5():
-    assert abs(lovasz_theta(cycle_graph(5)) - SQRT5) < 1e-5
+    assert abs(theta_certificate(cycle_graph(5)).value - SQRT5) < 1e-5
 
 
 def test_theta_complete_graphs():
     for n in (2, 4, 6):
-        assert abs(lovasz_theta(complete_graph(n, n)) - 1.0) < 1e-5
+        assert abs(theta_certificate(complete_graph(n, n)).value - 1.0) < 1e-5
 
 
 def test_theta_edgeless():
-    assert abs(lovasz_theta(empty_graph(5, 3)) - 5.0) < 1e-5
+    assert abs(theta_certificate(empty_graph(5, 3)).value - 5.0) < 1e-5
 
 
 def test_theta_certified_gap():
@@ -121,7 +121,7 @@ def test_theta_certified_gap():
 def test_theta_disjoint_union_adds():
     g = from_edges(10, [(k, (k + 1) % 5) for k in range(5)]
                    + [(5 + k, 5 + (k + 1) % 5) for k in range(5)], dimension=3)
-    assert abs(lovasz_theta(g) - 2 * SQRT5) < 1e-4
+    assert abs(theta_certificate(g).value - 2 * SQRT5) < 1e-4
 
 
 def _complement(g):
@@ -185,9 +185,9 @@ def test_theta_certifies_random_graphs(n, p, seed):
 
 
 def test_theta_monotone_under_edge_deletion():
-    full = lovasz_theta(cycle_graph(5))
-    minus = lovasz_theta(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
-                                    dimension=3))
+    full = theta_certificate(cycle_graph(5)).value
+    minus = theta_certificate(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                                         dimension=3)).value
     assert minus >= full - 1e-5
     assert abs(minus - 3.0) < 1e-5  # the path P5 is perfect, alpha = 3
 
@@ -309,7 +309,7 @@ def test_sandwich_on_catalog_graphs():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: canonicalize([1.0, 2.0, 2.0]), cube13,
+    cube13,
     lambda: ortho_graph(cube13()), lambda: cycle_graph(5),
     lambda: theta_certificate(cycle_graph(5)),
     lambda: bounds_report(cycle_graph(5)),

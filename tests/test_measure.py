@@ -10,11 +10,10 @@ from ksray import (
     Quadrant, QuantumStrategy, Region, RegionColoring, SeparableState,
     basis_colored_fraction_mc, canonicalize, classify,
     colored_fraction_complex, colored_fraction_real, mc_colored_fraction,
-    platter_simulate, pole_counterexample, region_validity_mc, sample_bases,
-    sample_ray, sample_rays, separable_quadrant, separable_to_ray,
-    separable_validity_mc, stream_rng,
+    platter_simulate, pole_counterexample, region_validity_mc, sample_rays,
+    separable_quadrant, separable_to_ray, separable_validity_mc, stream_rng,
 )
-from ksray.rng import CHUNK
+from ksray.rng import CHUNK, gaussian_rows
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -43,6 +42,15 @@ def test_classify_complex_thresholds():
     rc = RegionColoring(COMPLEX, 4)
     assert classify(rc, canonicalize((0.8, 0.6, 0, 0), COMPLEX)) is Region.RED
     assert classify(rc, canonicalize((0.3, 0.9, 0.3, 0.1), COMPLEX)) is Region.GREEN
+
+
+@pytest.mark.parametrize("ray", [
+    np.array([0.8, 0.6j, 0.0]), canonicalize((0.8, 0.6j, 0.0), COMPLEX),
+], ids=["ndarray", "canonical"])
+def test_classify_real_coloring_rejects_imaginary_part(ray):
+    with pytest.raises(ValueError, match="ray field does not match"):
+        classify(RegionColoring(REAL, 3), ray)
+    assert classify(RegionColoring(COMPLEX, 3), ray) is Region.RED
 
 
 def test_classify_phase_invariant():
@@ -135,10 +143,10 @@ def test_fraction_d2_is_one():
 def test_sample_ray_is_canonical():
     rng = stream_rng(42, 0)
     for field in (REAL, COMPLEX):
-        ray = sample_ray(field, 4, rng)
-        assert abs(np.linalg.norm(ray.components) - 1) < 1e-12
-        lead = ray.components[np.argmax(np.abs(ray.components) > 1e-12)]
-        assert abs(lead.imag) < 1e-15 and lead.real > 0
+        for ray in sample_rays(field, 4, 100, rng):
+            assert abs(np.linalg.norm(ray) - 1) < 1e-12
+            lead = ray[np.argmax(np.abs(ray) > 1e-12)]
+            assert abs(lead.imag) < 1e-15 and lead.real > 0
 
 
 def test_complex_p0_moments():
@@ -158,6 +166,21 @@ def test_real_first_coordinate_uniform():
     frac = (x0 < 1 / SQ3).mean()
     se = math.sqrt(frac * (1 - frac) / len(x0))
     assert abs(frac - 1 / SQ3) < 4 * se
+
+
+def sample_bases(field: str, d: int, n: int, rng) -> np.ndarray:
+    """n Haar orthonormal bases, shape (n, d, d), basis vectors in columns.
+
+    QR of an i.i.d. Gaussian matrix, with the phase of each diagonal entry
+    of R moved into Q (Mezzadri, Notices AMS 54, 2007): that is the
+    positive-diagonal convention that makes the distribution Haar.  An
+    exactly zero r_ii has measure zero and keeps phase 1.
+    """
+    Q, R = np.linalg.qr(gaussian_rows(rng, n, d * d, field).reshape(n, d, d))
+    r = np.diagonal(R, axis1=1, axis2=2)
+    absr = np.abs(r)
+    phase = np.divide(r, absr, out=np.ones_like(r), where=absr > 0)
+    return Q * phase[:, None, :]
 
 
 def test_sample_bases_orthonormal():
@@ -364,7 +387,7 @@ def test_orthogonal_partner_lands_in_other_quadrant():
         s = SeparableState(theta, phi, 1.3, 2.1)
         perp = SeparableState(math.pi - theta, (phi + math.pi) % (2 * math.pi),
                               0.7, 0.4)
-        assert abs(separable_to_ray(s).inner(separable_to_ray(perp))) < 1e-12
+        assert abs(np.vdot(separable_to_ray(s), separable_to_ray(perp))) < 1e-12
         assert separable_quadrant(s) is not separable_quadrant(perp)
 
 
@@ -375,7 +398,7 @@ def test_separable_validity():
 def test_pole_counterexample():
     s1, s2 = pole_counterexample()
     r1, r2 = separable_to_ray(s1), separable_to_ray(s2)
-    assert abs(r1.inner(r2)) < 1e-12  # orthogonal rays
+    assert abs(np.vdot(r1, r2)) < 1e-12  # orthogonal rays
     assert separable_quadrant(s1) is separable_quadrant(s2)  # same quadrant
     assert s1.phi_a == 0.0 and s2.phi_a == 0.0  # chart pins the pole phase
 

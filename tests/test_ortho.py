@@ -1,4 +1,6 @@
+import functools
 import itertools
+import json
 import math
 import re
 
@@ -251,6 +253,39 @@ def test_edge_endpoint_not_an_integer(edge, shown):
         graph_from_json(text)
 
 
+@pytest.mark.parametrize("make,field", [
+    *[(functools.partial(from_edges, 3, [(0, 1)], d), "dimension must")
+      for d in (1, 0, -3, 2.0, True, "3", None)],
+    (lambda: graph_from_json("null"), "object"),
+    (lambda: graph_from_json("[1, 2]"), "object"),
+    (lambda: graph_from_json('{"dimension": 3, "edges": []}'), "'n'"),
+    (lambda: graph_from_json('{"n": 3, "dimension": 3}'), "'edges'"),
+    (lambda: graph_from_json('{"n": 3, "edges": []}'), "'dimension'"),
+    (lambda: graph_from_json('{"n": "3", "dimension": 3, "edges": []}'),
+     "n must"),
+    (lambda: graph_from_json('{"n": -1, "dimension": 3, "edges": []}'),
+     "n must"),
+    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": true}'),
+     "edges must"),
+    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": ""}'),
+     "edges must"),
+    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [0]}'),
+     "edges must"),
+    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [[0, 1, 2]]}'),
+     "edges must"),
+    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [["0", 1]]}'),
+     "edge ('0', 1) has a non-integer endpoint"),
+    (lambda: graph_from_json('{"n": 3, "dimension": 1, "edges": [[0, 1]]}'),
+     "dimension must"),
+    (lambda: from_edges(3.0, [], 3), "n must"),
+    (lambda: from_edges(3, True, 3), "edges must"),
+    (lambda: from_edges(3, [(0,)], 3), "edges must"),
+])
+def test_malformed_graph_input_is_a_value_error(make, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        make()
+
+
 # --- exchange format --------------------------------------------------------
 
 def test_graph_json_roundtrip():
@@ -258,3 +293,40 @@ def test_graph_json_roundtrip():
     back = graph_from_json(graph_to_json(g))
     assert back.n == g.n and back.dimension == g.dimension
     assert np.array_equal(back.adjacency, g.adjacency)
+
+
+def test_graph_from_json_fuzz():
+    """Arbitrary JSON over the keys n, edges and dimension: only ValueError
+    escapes, and an accepted graph has an integer dimension >= 2 and reads
+    back from its own JSON."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = st.sampled_from(("n", "edges", "dimension"))
+    # integers stay small: a valid huge n asks for an n-by-n matrix
+    small = st.integers(-1, 6)
+    scalars = (st.none() | st.booleans() | small
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.text(max_size=2))
+    junk = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(keys, inner, max_size=3),
+                        max_leaves=6)
+    pairs = st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2,
+                              unique=True), max_size=5)
+    fields = {"n": small, "edges": pairs, "dimension": small}
+    documents = junk | st.fixed_dictionaries(fields) | st.fixed_dictionaries(
+        {}, optional={key: value | junk for key, value in fields.items()})
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                         deadline=None)
+    @hypothesis.given(documents)
+    def check(obj):
+        try:
+            g = graph_from_json(json.dumps(obj))
+        except ValueError:
+            return
+        assert type(g.dimension) is int and g.dimension >= 2
+        back = graph_from_json(graph_to_json(g))
+        assert back.dimension == g.dimension
+        assert np.array_equal(back.adjacency, g.adjacency)
+
+    check()

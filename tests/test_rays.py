@@ -20,22 +20,30 @@ SQ3 = math.sqrt(3.0)
 
 def test_canonicalize_normalizes():
     r = canonicalize((0, 2, 0), REAL)
-    assert np.allclose(r.components, [0, 1, 0], atol=1e-15)
+    assert np.allclose(r, [0, 1, 0], atol=1e-15)
 
 
 def test_canonicalize_removes_global_phase():
     r = canonicalize((1j, 0, 0), COMPLEX)
-    assert np.allclose(r.components, [1, 0, 0], atol=1e-15)
+    assert np.allclose(r, [1, 0, 0], atol=1e-15)
 
 
 def test_canonicalize_equal_weights():
     r = canonicalize((1, 1, 0), REAL)
-    assert np.allclose(r.components, [1 / SQ2, 1 / SQ2, 0], atol=1e-15)
+    assert np.allclose(r, [1 / SQ2, 1 / SQ2, 0], atol=1e-15)
 
 
 def test_canonicalize_flips_leading_sign():
     r = canonicalize((-1, 1, 0), REAL)
-    assert np.allclose(r.components, [1 / SQ2, -1 / SQ2, 0], atol=1e-15)
+    assert np.allclose(r, [1 / SQ2, -1 / SQ2, 0], atol=1e-15)
+
+
+def test_canonicalize_returns_read_only_row():
+    for field, vec in ((REAL, (3, 0, 4)), (COMPLEX, (0, 1j, 1))):
+        r = canonicalize(vec, field)
+        assert r.shape == (3,) and r.dtype == np.complex128
+        with pytest.raises(ValueError):
+            r[0] = 0.0
 
 
 def test_canonicalize_zero_vector():
@@ -88,8 +96,8 @@ def test_canonicalize_idempotent_random():
         d = int(rng.integers(2, 7))
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         once = canonicalize(v, COMPLEX)
-        twice = canonicalize(once.components, COMPLEX)
-        assert np.abs(once.components - twice.components).max() < 1e-15
+        twice = canonicalize(once, COMPLEX)
+        assert np.abs(once - twice).max() < 1e-15
 
 
 # --- cube13 -----------------------------------------------------------------
