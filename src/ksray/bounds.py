@@ -19,6 +19,7 @@ from .ortho import (NumericalFailure, OrthoGraph, TooLarge, _bits,
 
 SIZE_GUARD = 64
 MAX_ITERATIONS = 100
+EPS = 1e-6  # largest certified theta gap; the sandwich check's slack
 
 
 def _check_size(g: OrthoGraph, empty_ok: bool = False) -> None:
@@ -100,17 +101,18 @@ class ThetaCertificate:
     edge_duals: np.ndarray
 
 
-def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
+def theta_certificate(g: OrthoGraph) -> ThetaCertificate:
     """Solve max <J,X> s.t. tr X = 1, X zero on edges, X PSD.
 
     Feasible primal-dual path following on the pair (X, Z), where the dual
     is min t with Z = t I + sum_e y_e E_e - J PSD: HKM search direction with
     a Mehrotra predictor-corrector, started from the strictly feasible
     X = I/n, Z = (n+1) I - J.  Every iterate stays feasible, so <X, Z> is
-    the duality gap; the loop stops once it is below 1e-3 eps or rounding
+    the duality gap; the loop stops once it is below 1e-3 EPS or rounding
     stops it from falling.  The returned bracket is certified independently
     of the path taken: any dual point gives the upper bound, and the
-    repaired X gives the lower bound.
+    repaired X gives the lower bound.  A bracket wider than EPS raises
+    NumericalFailure.
     """
     _check_size(g)
     n = g.n
@@ -145,7 +147,7 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
     z = adjoint(v) - ones
     gap_xz = float(np.sum(x * z))
     for _ in range(MAX_ITERATIONS):
-        if gap_xz < 1e-3 * eps:
+        if gap_xz < 1e-3 * EPS:
             break
         mu = gap_xz / n
         try:
@@ -217,9 +219,9 @@ def theta_certificate(g: OrthoGraph, eps: float = 1e-6) -> ThetaCertificate:
     dual[cidx, ridx] -= y
     upper = float(np.linalg.eigvalsh(dual)[-1])
     gap = upper - lower
-    if gap > eps:
+    if gap > EPS:
         raise NumericalFailure(
-            f"duality gap {gap:.3e} above target {eps:.1e}", gap)
+            f"duality gap {gap:.3e} above target {EPS:.1e}", gap)
     return ThetaCertificate(value=0.5 * (lower + upper), lower=lower,
                             upper=upper, gap=gap, primal_matrix=x,
                             edge_duals=y)
@@ -365,12 +367,12 @@ class BoundsReport:
     packing_weights: np.ndarray
 
 
-def bounds_report(g: OrthoGraph, eps: float = 1e-6) -> BoundsReport:
-    """All three bounds, with the sandwich inequality asserted."""
+def bounds_report(g: OrthoGraph) -> BoundsReport:
+    """All three bounds, with the sandwich inequality asserted to EPS."""
     alpha, witness = independence_number(g)
-    cert = theta_certificate(g, eps)
+    cert = theta_certificate(g)
     alpha_star, weights = fractional_packing(g)
-    if not (alpha <= cert.upper + eps and cert.lower <= alpha_star + eps):
+    if not (alpha <= cert.upper + EPS and cert.lower <= alpha_star + EPS):
         raise NumericalFailure(
             f"sandwich violated: alpha={alpha}, theta in "
             f"[{cert.lower}, {cert.upper}], alpha*={alpha_star}", cert.gap)

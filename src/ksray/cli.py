@@ -21,10 +21,9 @@ from . import kscolor, measure, operators, ortho, rays
 
 def _resolve_set(args) -> rays.RaySet:
     """Named catalog sets resolve first; an explicit file overrides the name."""
-    path = getattr(args, "file", None)
-    if path:  # opened here, so a name starting with "{" is never JSON text
-        with open(path, encoding="utf-8") as fh:
-            return rays.load_rayset(fh)
+    if args.file:
+        with open(args.file, encoding="utf-8") as fh:
+            return rays.load_rayset(fh.read())
     name = args.set
     if name is None:
         raise rays.ParseError("no ray set given; use --set or --file")
@@ -64,9 +63,7 @@ def cmd_catalog(args) -> int:
         for name in rays.CATALOGS:
             print(name)
         return 0
-    rs = _resolve_set(argparse.Namespace(set=args.name, phase=args.phase,
-                                         file=args.file))
-    sys.stdout.write(rays.rayset_to_json(rs))
+    sys.stdout.write(rays.rayset_to_json(_resolve_set(args)))
     return 0
 
 
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list or emit the named ray sets")
     p.add_argument("action", choices=("list", "emit"))
-    p.add_argument("name", nargs="?", help="set name for emit")
+    p.add_argument("set", nargs="?", metavar="name", help="set name for emit")
     p.add_argument("--phase", type=float, default=0.0)
     p.add_argument("--file", help="ray-set file (overrides the name)")
     p.set_defaults(fn=cmd_catalog)
@@ -291,10 +288,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if (args.command == "catalog" and args.action == "emit"
-            and not (args.name or args.file)):
+            and not (args.set or args.file)):
         parser.error("catalog emit needs a set name or --file")
-    if args.command == "catalog" and args.name:
-        args.name = args.name.replace("_", "-")
+    if args.command == "catalog" and args.set:
+        args.set = args.set.replace("_", "-")
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

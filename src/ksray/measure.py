@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ortho import _check_dim
 from .rays import COMPLEX, REAL, _canonical_rows, canonicalize
 from .rng import chunks, gaussian_rows
 
@@ -40,8 +41,7 @@ class RegionColoring:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise ValueError(f"unknown field {self.field!r}")
-        if self.dimension < 2:
-            raise ValueError("dimension must be >= 2")
+        _check_dim(self.dimension, "dimension")
 
     @property
     def cap_threshold(self) -> float:
@@ -81,8 +81,7 @@ def classify(rc: RegionColoring, ray) -> Region:
 
 def colored_fraction_complex(N: int) -> float:
     """1 - (1 - 1/N)^(N-1) + (1/2)^(N-1), the cap plus belt volume."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _check_dim(N, "N")
     return 1.0 - (1.0 - 1.0 / N) ** (N - 1) + 0.5 ** (N - 1)
 
 
@@ -114,8 +113,7 @@ def colored_fraction_real(d: int) -> float:
     incomplete beta values; their recurrence terms are summed with one
     correctly rounded math.fsum, in O(d) time.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_dim(d, "d")
     b = (d - 1) / 2.0
     return math.fsum(itertools.chain(
         [1.0], (-t for t in _betainc_half_terms(b, 0.5)),
@@ -212,8 +210,7 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     the belt.  A fully colored basis automatically holds exactly one Red
     member; this is asserted inside the loop as a side check.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_dim(d, "d")
     parts = chunks(seed, samples)
     rc = RegionColoring(field=REAL, dimension=d)
     full = 0
@@ -296,17 +293,13 @@ def separable_validity_mc(samples: int, seed: int) -> int:
     Pairs are |a>|b> against |a_perp>|c> and against |c'>|b_perp>: flipping
     one factor to its orthogonal partner moves its phase by pi, so the pair
     always straddles two quadrants when the flipped factor is off the poles.
-    Exact poles are excluded by rejection, matching the chart convention
-    (the pole counterexample is constructed separately).
+    The quadrants depend on the phases alone, so only phases are drawn: the
+    polar angles never enter the count, and the one case they could change,
+    a factor exactly at a pole (a measure-zero event), is built separately
+    by pole_counterexample.
     """
     violations = 0
     for rng, size in chunks(seed, samples):
-        cos_t = rng.uniform(-1.0, 1.0, size=(size, 2))
-        while True:  # reject exact poles; a measure-zero event
-            at_pole = np.abs(cos_t) == 1.0
-            if not at_pole.any():
-                break
-            cos_t[at_pole] = rng.uniform(-1.0, 1.0, size=int(at_pole.sum()))
         phi = rng.uniform(0.0, TWO_PI, size=(size, 2))
         chi_phi = rng.uniform(0.0, TWO_PI, size=(size, 2))
 
@@ -327,8 +320,8 @@ def pole_counterexample() -> tuple[SeparableState, SeparableState]:
     """The documented degenerate pair: |0>|c> and |1>|c>.
 
     Orthogonal as rays, yet the chart pins both A-phases to 0, so both
-    states land in the same quadrant.  The validity sampler excludes exact
-    poles, which is why this pair never shows up in its counts.
+    states land in the same quadrant.  The validity sampler draws no polar
+    angles, which is why this pair never shows up in its counts.
     """
     s1 = SeparableState(theta_a=0.0, phi_a=0.0, theta_b=1.0, phi_b=0.5)
     s2 = SeparableState(theta_a=math.pi, phi_a=0.0, theta_b=1.0, phi_b=0.5)

@@ -11,6 +11,8 @@ from .rays import RaySet, kcbs5
 from .rng import chunks
 
 HERMITIAN_TOL = 1e-12
+EIGEN_TOL = 1e-10  # largest accepted eigen residual ||Hv - lambda v||
+POVM_TOL = 1e-9  # largest entry of sum - c I for an equal-weight POVM
 
 
 class InvalidAssignment(ValueError):
@@ -25,11 +27,11 @@ def projector_sum(rs: RaySet) -> np.ndarray:
     return M.T @ M.conj()
 
 
-def eigen_max(H: np.ndarray, tol: float = 1e-10) -> float:
+def eigen_max(H: np.ndarray) -> float:
     """Largest eigenvalue of a Hermitian matrix, residual-certified.
 
     The eigenpair comes from a full Hermitian decomposition; the result is
-    accepted only if ||Hv - lambda v|| <= tol.
+    accepted only if ||Hv - lambda v|| <= EIGEN_TOL, else NumericalFailure.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -40,21 +42,21 @@ def eigen_max(H: np.ndarray, tol: float = 1e-10) -> float:
     lam = float(w[-1])
     vec = v[:, -1]
     residual = float(np.linalg.norm(H @ vec - lam * vec))
-    if residual > tol:
+    if residual > EIGEN_TOL:
         raise NumericalFailure(
-            f"eigen residual {residual:.3e} above {tol:.1e}", residual)
+            f"eigen residual {residual:.3e} above {EIGEN_TOL:.1e}", residual)
     return lam
 
 
-def equal_weight_povm_check(rs: RaySet, tol: float = 1e-9):
-    """Is the projector sum proportional to the identity?
+def equal_weight_povm_check(rs: RaySet):
+    """Is the projector sum proportional to the identity, within POVM_TOL?
 
     When it is, the constant is forced by the trace: c = len(rs)/dimension.
     Returns (True, c) or (False, None).
     """
     sigma = projector_sum(rs)
     c = len(rs) / rs.dimension
-    if np.abs(sigma - c * np.eye(rs.dimension)).max() < tol:
+    if np.abs(sigma - c * np.eye(rs.dimension)).max() < POVM_TOL:
         return True, c
     return False, None
 

@@ -12,9 +12,23 @@ from .rays import REAL, InvariantViolation, RaySet, build_rayset
 from .rng import gaussian_rows, stream_rng
 
 
+ORTHO_TOL = 1e-9  # |<r_i, r_j>| below this is an edge
+MAX_STEPS = 200  # Levenberg-Marquardt steps per realize start
+RESTARTS = 8  # realize starts before NonConvergence
+UNBIASED_TOL = 1e-12  # on |<e,f>|^2 - 1/d in unbiased_basis_triples
+
+
 def _is_int(x) -> bool:
     """An int or numpy integer; bool is an int too, and is rejected by type."""
     return isinstance(x, (int, np.integer)) and type(x) is not bool
+
+
+def _check_dim(d, name: str) -> None:
+    """Refuse a dimension d that is not an integer >= 2, naming it name."""
+    if not _is_int(d):
+        raise ValueError(f"{name} must be an integer, got {d!r}")
+    if d < 2:
+        raise ValueError(f"{name} must be >= 2")
 
 
 class TooLarge(ValueError):
@@ -73,19 +87,20 @@ class OrthoGraph:
         return int(self.adjacency[v].sum())
 
 
-def ortho_graph(rs: RaySet, tol: float = 1e-9) -> OrthoGraph:
-    """Graph with an edge wherever |<r_i, r_j>| < tol."""
+def ortho_graph(rs: RaySet) -> OrthoGraph:
+    """Graph with an edge wherever |<r_i, r_j>| < ORTHO_TOL."""
     if len(rs) == 0:
         raise ValueError("empty ray set")
     M = rs.matrix
-    adj = np.abs(M.conj() @ M.T) < tol
+    adj = np.abs(M.conj() @ M.T) < ORTHO_TOL
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
     return OrthoGraph(n=len(rs), adjacency=adj, dimension=rs.dimension,
                       vertex_labels=rs.labels)
 
 
-def from_edges(n: int, edges, dimension: int, labels=None) -> OrthoGraph:
+def from_edges(n: int, edges, dimension: int) -> OrthoGraph:
+    """Graph on vertices 0..n-1, labeled v0.., with the given edge pairs."""
     if not _is_int(n) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
     try:
@@ -103,10 +118,8 @@ def from_edges(n: int, edges, dimension: int, labels=None) -> OrthoGraph:
             raise ValueError("self loop")
         adj[i, j] = adj[j, i] = True
     adj.setflags(write=False)
-    if labels is None:
-        labels = tuple(f"v{k}" for k in range(n))
     return OrthoGraph(n=n, adjacency=adj, dimension=dimension,
-                      vertex_labels=tuple(labels))
+                      vertex_labels=tuple(f"v{k}" for k in range(n)))
 
 
 def cycle_graph(n: int, dimension: int = 3) -> OrthoGraph:
@@ -189,8 +202,7 @@ def basis_incidence(bases, n: int) -> list[int]:
 # numeric realization
 
 
-def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 200,
-            restarts: int = 8, field: str = REAL,
+def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL,
             strict: bool = False) -> RaySet:
     """Find unit vectors in dimension d realizing the edges of g as orthogonalities.
 
@@ -203,23 +215,22 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 200,
     does not.  The floor keeps the system regular: J^T J is always singular,
     since rotating every vector leaves every residual unchanged.  A start
     ends when r.r < 1e-28, when lam exceeds 1e12 (a stall at a stationary
-    point), or after max_sweeps steps.
+    point), or after MAX_STEPS steps.
 
     Success means r.r, which sums the squared edge overlaps and norm
     defects, falls below 1e-10 (in practice it reaches ~1e-28, so the
-    realized graph contains every requested edge at the 1e-9 orthogonality
-    tolerance).  Non-edges are unconstrained unless strict is set, which
-    nudges non-edges with overlap below 1e-3 apart and solves again.
+    realized graph contains every requested edge at ORTHO_TOL).  Non-edges
+    are unconstrained unless strict is set, which nudges non-edges with
+    overlap below 1e-3 apart and solves again.
     Failure raises NonConvergence with the best residual seen; it is a
     heuristic failure, not a proof of non-realizability.
 
     In the real field about one start in five stalls with some vectors
-    shrunk towards zero, and more steps do not rescue it, so restart k
-    starts afresh from the substream stream_rng(seed, k); the first success
-    by restart index wins.
+    shrunk towards zero, and more steps do not rescue it, so restart k of
+    RESTARTS starts afresh from the substream stream_rng(seed, k); the
+    first success by restart index wins.  d must be an integer >= 2.
     """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dim(d, "dimension")
     n = g.n
     i, j = np.nonzero(np.triu(g.adjacency, 1))
     apart = ~g.adjacency & ~np.eye(n, dtype=bool)
@@ -246,7 +257,7 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 200,
         x, lam = X.ravel(), 1e-3
         jac = jacobian(X)
         r = (jac @ x - offset) / 2
-        for _ in range(max_sweeps):
+        for _ in range(MAX_STEPS):
             if r @ r < 1e-28 or lam > 1e12:
                 break
             y = x - np.linalg.solve(jac.T @ jac + lam * np.eye(x.size),
@@ -259,7 +270,7 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 200,
                 lam *= 4
         return x.reshape(X.shape), float(r @ r)
 
-    for attempt in range(restarts):
+    for attempt in range(RESTARTS):
         V = gaussian_rows(stream_rng(seed, attempt), n, d, field)
         X, res = solve(np.hstack([V.real, V.imag]) if complex_ else V)
         for _ in range(20 if strict else 0):
@@ -275,22 +286,22 @@ def realize(g: OrthoGraph, d: int, seed: int, max_sweeps: int = 200,
             except InvariantViolation:
                 continue  # coincident rays cannot populate a RaySet
     raise NonConvergence(
-        f"no realization in d={d} after {restarts} restart(s) of "
-        f"{max_sweeps} steps (best residual {best_res:.3e})", best_res)
+        f"no realization in d={d} after {RESTARTS} restart(s) of "
+        f"{MAX_STEPS} steps (best residual {best_res:.3e})", best_res)
 
 
 # ---------------------------------------------------------------------------
 # unbiased basis partition (Peres set structure)
 
 
-def unbiased_basis_triples(rs: RaySet, tol: float = 1e-12):
+def unbiased_basis_triples(rs: RaySet):
     """Partition a ray set into bases that group into two unbiased triples.
 
     Searches the exact covers of the vertex set by complete bases and returns
     the first cover splitting into two triples in which every inter-basis
-    overlap satisfies |<e,f>|^2 = 1/d within tol.  Returns (bases, triple_a,
-    triple_b) with triples as index tuples into bases, or None when no cover
-    works.
+    overlap satisfies |<e,f>|^2 = 1/d within UNBIASED_TOL.  Returns (bases,
+    triple_a, triple_b) with triples as index tuples into bases, or None
+    when no cover works.
     """
     g = ortho_graph(rs)
     bases = complete_bases(g)
@@ -302,7 +313,7 @@ def unbiased_basis_triples(rs: RaySet, tol: float = 1e-12):
 
     def unbiased(b1, b2) -> bool:
         ov = np.abs(M[list(b1)].conj() @ M[list(b2)].T) ** 2
-        return bool(np.all(np.abs(ov - target) < tol))
+        return bool(np.all(np.abs(ov - target) < UNBIASED_TOL))
 
     result = None
     full = (1 << n) - 1

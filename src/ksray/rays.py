@@ -280,8 +280,6 @@ def kcbs5() -> RaySet:
 # ---------------------------------------------------------------------------
 # file exchange
 
-_FIELDS = {REAL, COMPLEX}
-
 
 def rayset_to_json(rs: RaySet) -> str:
     """The ray set in the exchange format, rays canonicalized."""
@@ -294,23 +292,14 @@ def rayset_to_json(rs: RaySet) -> str:
     }, indent=1) + "\n"
 
 
-def load_rayset(source) -> RaySet:
-    """Read a ray set from a path, file object, or JSON text.
-
-    A str is JSON text when its first non-blank character is "{" and a path
-    otherwise; an os.PathLike is always a path.
+def load_rayset(text: str) -> RaySet:
+    """Read a ray set from JSON text in the rayset_to_json format.
 
     The reader canonicalizes every ray and enforces the ray-set invariants;
     structural problems raise ParseError, per-ray problems raise
-    InvariantViolation with the offending index.
+    InvariantViolation with the offending index.  A component that is true,
+    false or an integer beyond float range is a ParseError naming its ray.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -324,17 +313,22 @@ def load_rayset(source) -> RaySet:
     field = obj["field"]
     if not isinstance(dim, int) or dim < 2:
         raise ParseError(f"dimension must be an integer >= 2, got {dim!r}")
-    if field not in _FIELDS:
+    if field not in (REAL, COMPLEX):  # a tuple: field may be unhashable
         raise ParseError(f'field must be "real" or "complex", got {field!r}')
     raw = obj["rays"]
     if not isinstance(raw, list) or not raw:
         raise ParseError("rays must be a nonempty array")
+    bools = "true" in text or "false" in text  # complex() reads them as 1, 0
     vectors = []
     for k, entry in enumerate(raw):
         try:
+            if bools and any(isinstance(x, bool)
+                             for pair in entry for x in pair):
+                raise TypeError("a boolean is not a number")
             vec = [complex(re, im) for re, im in entry]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"ray {k}: entries must be [re, im] pairs") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"ray {k}: entries must be [re, im] pairs "
+                             "of numbers") from exc
         if len(vec) != dim:
             raise InvariantViolation(
                 f"ray {k}: length {len(vec)} != dimension {dim}", index=k)

@@ -107,7 +107,7 @@ def test_theta_edgeless():
 
 
 def test_theta_certified_gap():
-    cert = theta_certificate(cycle_graph(5), eps=1e-6)
+    cert = theta_certificate(cycle_graph(5))
     assert cert.gap <= 1e-6
     assert cert.lower <= SQRT5 <= cert.upper + 1e-12
     X = cert.primal_matrix
@@ -180,7 +180,7 @@ def test_theta_closed_forms(graphs, value):
 def test_theta_certifies_random_graphs(n, p, seed):
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
     g = from_edges(n, list(zip(*np.nonzero(upper))), dimension=3)
-    cert = theta_certificate(g, eps=1e-6)
+    cert = theta_certificate(g)
     assert cert.lower <= cert.upper and cert.gap <= 1e-6
 
 
@@ -290,8 +290,8 @@ def test_bounds_report_k3():
 def test_bounds_report_sandwich_failure_is_numerical(monkeypatch):
     real = bounds_mod.theta_certificate
 
-    def broken(g, eps=1e-6):
-        cert = real(g, eps)
+    def broken(g):
+        cert = real(g)
         return dataclasses.replace(cert, lower=cert.lower + 1.0,
                                    upper=cert.upper + 1.0)
 

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -364,6 +363,17 @@ def test_parser_built_once_per_process(capsys):
         assert capture(capsys, argv) == result
 
 
+@pytest.mark.parametrize("component", ["true", "1" + "0" * 400])
+def test_non_number_component_exits_2(tmp_path, capsys, component):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dimension": 2, "field": "real", "rays": '
+                    f'[[[{component}, 0], [0, 0]]]}}', encoding="utf-8")
+    code, out, err = capture(capsys, ["color", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: ray 0: entries must be [re, im] pairs of numbers"]
+
+
 @pytest.mark.parametrize("name", ["a{1}.json", "{a}.json"])
 def test_file_name_with_braces(tmp_path, capsys, name):
     _, text, _ = capture(capsys, ["catalog", "emit", "kcbs5"])
@@ -373,8 +383,7 @@ def test_file_name_with_braces(tmp_path, capsys, name):
 
 
 def test_failed_eigen_residual_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(operators, "eigen_max",
-                        functools.partial(operators.eigen_max, tol=-1.0))
+    monkeypatch.setattr(operators, "EIGEN_TOL", -1.0)
     code, _, err = capture(capsys, ["spectrum", "--set", "cube13"])
     assert code == 1
     assert len(err.splitlines()) == 1

@@ -9,9 +9,10 @@ from ksray import (
     COMPLEX, REAL, ClassicalStrategy, ConspiratorialStrategy, MCEstimate,
     Quadrant, QuantumStrategy, Region, RegionColoring, SeparableState,
     basis_colored_fraction_mc, canonicalize, classify,
-    colored_fraction_complex, colored_fraction_real, mc_colored_fraction,
-    platter_simulate, pole_counterexample, region_validity_mc, sample_rays,
-    separable_quadrant, separable_to_ray, separable_validity_mc, stream_rng,
+    colored_fraction_complex, colored_fraction_real, cycle_graph,
+    mc_colored_fraction, platter_simulate, pole_counterexample, realize,
+    region_validity_mc, sample_rays, separable_quadrant, separable_to_ray,
+    separable_validity_mc, stream_rng,
 )
 from ksray.rng import CHUNK, gaussian_rows
 
@@ -136,6 +137,29 @@ def test_real_fraction_minimum_location():
 def test_fraction_d2_is_one():
     assert abs(colored_fraction_real(2) - 1.0) < 1e-12
     assert abs(colored_fraction_complex(2) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: colored_fraction_real(3.5),
+    lambda: colored_fraction_real(True),
+    lambda: colored_fraction_complex(2.5),
+    lambda: RegionColoring(REAL, 2.5),
+    lambda: mc_colored_fraction(REAL, 2.5, 10, 0),
+    lambda: region_validity_mc(COMPLEX, 2.5, 10, 0),
+    lambda: basis_colored_fraction_mc(2.5, 10, 0),
+    lambda: realize(cycle_graph(5), 3.5, 0),
+], ids=["real", "real-bool", "complex", "coloring", "fraction-mc",
+        "validity-mc", "bases-mc", "realize"])
+def test_non_integer_dimension_is_a_value_error(call):
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_dimension_is_valid():
+    d = np.int64(5)
+    assert colored_fraction_real(d) == colored_fraction_real(5)
+    assert colored_fraction_complex(d) == colored_fraction_complex(5)
+    assert RegionColoring(COMPLEX, d) == RegionColoring(COMPLEX, 5)
 
 
 # --- sampling -------------------------------------------------------------------

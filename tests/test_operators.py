@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ksray import operators
 from ksray import (
     ClassicalStrategy, ConspiratorialStrategy, InvalidAssignment,
     QuantumStrategy, build_rayset, ceg18, cube13, eigen_max,
@@ -50,9 +51,10 @@ def test_eigen_max_rejects_nonhermitian():
         eigen_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_eigen_max_failed_residual_is_numerical_failure():
+def test_eigen_max_failed_residual_is_numerical_failure(monkeypatch):
+    monkeypatch.setattr(operators, "EIGEN_TOL", -1.0)
     with pytest.raises(NumericalFailure) as err:
-        eigen_max(np.eye(3), tol=-1.0)
+        eigen_max(np.eye(3))
     assert err.value.gap >= 0.0
 
 

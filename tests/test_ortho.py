@@ -158,13 +158,13 @@ def test_realize_c5_in_3d():
 
 def test_realize_c5_in_2d_fails():
     with pytest.raises(NonConvergence) as err:
-        realize(cycle_graph(5, dimension=3), 2, seed=3, max_sweeps=200)
+        realize(cycle_graph(5, dimension=3), 2, seed=3)
     assert err.value.residual > 1e-10
 
 
 def test_realize_k4_in_3d_fails():
     with pytest.raises(NonConvergence):
-        realize(complete_graph(4, dimension=4), 3, seed=5, max_sweeps=200)
+        realize(complete_graph(4, dimension=4), 3, seed=5)
 
 
 def test_realize_strict_mode_separates_nonedges():

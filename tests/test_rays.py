@@ -218,7 +218,7 @@ def test_rayset_roundtrip(tmp_path):
     rs = cube13()
     path = tmp_path / "cube.json"
     path.write_text(rayset_to_json(rs), encoding="utf-8")
-    back = load_rayset(str(path))
+    back = load_rayset(path.read_text(encoding="utf-8"))
     assert len(back) == 13
     assert np.abs(back.matrix - rs.matrix).max() < 1e-15
     assert back.labels == rs.labels
@@ -284,8 +284,10 @@ def test_load_rayset_text_and_paths(tmp_path):
     text = rayset_to_json(kcbs5())
     path = tmp_path / "{a}.json"
     path.write_text(text, encoding="utf-8")
-    for source in (" \n" + text, path, str(path)):
+    for source in (" \n" + text, path.read_text(encoding="utf-8")):
         assert np.array_equal(load_rayset(source).matrix, kcbs5().matrix)
+    with pytest.raises(ParseError):  # a path is not JSON text
+        load_rayset(str(path))
 
 
 def test_load_rayset_bad_field():
@@ -293,6 +295,71 @@ def test_load_rayset_bad_field():
                        "rays": [[[1, 0], [0, 0]]]})
     with pytest.raises(ParseError):
         load_rayset(text)
+
+
+@pytest.mark.parametrize("component", ["true", "false", "1" + "0" * 400])
+def test_load_rayset_rejects_non_number_component(component):
+    """A boolean is not read as 1 or 0, and an integer beyond float range
+    is a ParseError, not an OverflowError."""
+    text = ('{"dimension": 2, "field": "real", '
+            f'"rays": [[[1, 0], [0, 0]], [[{component}, 0], [1, 0]]]}}')
+    with pytest.raises(ParseError, match="^ray 1: "):
+        load_rayset(text)
+
+
+def test_load_rayset_fuzz():
+    """Arbitrary JSON over the keys dimension, field, rays and labels: only
+    ValueError escapes, and an accepted set reads back from rayset_to_json
+    with the same labels and the same rays."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = st.sampled_from(("dimension", "field", "rays", "labels"))
+    small = st.integers(-2, 2) | st.floats(-2.0, 2.0)
+    numbers = (small | st.booleans() | st.floats()
+               | st.integers(-10**400, 10**400))
+    scalars = st.none() | numbers | st.text(max_size=2)
+    junk = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(keys, inner, max_size=3),
+                        max_leaves=6)
+
+    def shaped(components):
+        """Documents of n rays of d [re, im] pairs, with n labels or none."""
+        def sets(d, n):
+            ray = st.lists(st.lists(components, min_size=2, max_size=2),
+                           min_size=d, max_size=d)
+            return st.fixed_dictionaries(
+                {"dimension": st.just(d),
+                 "field": st.sampled_from((REAL, COMPLEX)),
+                 "rays": st.lists(ray, min_size=n, max_size=n)},
+                optional={"labels": st.lists(scalars, min_size=n, max_size=n)})
+        return st.tuples(st.integers(2, 3), st.integers(1, 3)).flatmap(
+            lambda dn: sets(*dn))
+
+    fields = {"dimension": st.integers(1, 3),
+              "field": st.sampled_from((REAL, COMPLEX)),
+              "rays": st.lists(st.lists(st.lists(numbers, max_size=3)
+                                        | junk, max_size=3), max_size=3),
+              "labels": st.lists(scalars, max_size=3)}
+    documents = (junk | shaped(small) | shaped(numbers)
+                 | st.fixed_dictionaries({}, optional={
+                     key: value | junk for key, value in fields.items()}))
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None,
+                         deadline=None)
+    @hypothesis.given(documents)
+    def check(obj):
+        try:
+            rs = load_rayset(json.dumps(obj))
+        except ValueError:
+            return
+        back = load_rayset(rayset_to_json(rs))
+        assert (back.dimension, back.field) == (rs.dimension, rs.field)
+        # canonicalize is idempotent to 1e-15, not to the bit: [0, 1 + 1j]
+        # keeps a lead component of 1 - 2^-53, which reads back as 1
+        assert np.abs(back.matrix - rs.matrix).max() < 1e-15
+        assert back.labels == rs.labels
+
+    check()
 
 
 # --- ceg18 ------------------------------------------------------------------
