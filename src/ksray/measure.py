@@ -1,10 +1,12 @@
 """Cap-and-belt partial colorings and their measure under uniform sampling.
 
-Real case: a ray is Red when |x_0| > 1/sqrt(2) (polar cap) and Green when
-|x_0| < 1/sqrt(d) (equatorial belt), both strict.  Complex case: Red when
-p_0 > 1/2 and Green when p_0 < 1/d with p_0 the squared modulus of the
-first component.  The boundaries are excluded: two orthogonal rays can sit
-exactly on the cap boundary, and the boundary set has measure zero anyway.
+In either field a ray is Red when the weight p_0 = |x_0|^2 of its first
+component exceeds 1/2 (polar cap) and Green when p_0 < 1/d (equatorial
+belt).  The boundaries are excluded: two orthogonal rays can sit exactly on
+the cap boundary and a whole basis on the belt boundary, and the boundary
+set has measure zero anyway.  A weight within BOUNDARY_TOL of 1/2 or 1/d
+counts as on the boundary, so a ray exactly on it stays Uncolored when
+rounding moves its computed weight by an ulp.
 
 The basis measures classify each member of a Haar basis by its first
 coordinate.  Those d first coordinates are the first row of a Haar unitary,
@@ -23,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ortho import _check_dim
-from .rays import COMPLEX, REAL, _canonical_rows, canonicalize
+from .rays import COMPLEX, REAL, _canonical_rows, _check_field, canonicalize
 from .rng import chunks, gaussian_rows
+
+BOUNDARY_TOL = 1e-12  # a weight this close to 1/2 or 1/d is on the boundary
 
 
 class Region(enum.Enum):
@@ -39,25 +43,13 @@ class RegionColoring:
     dimension: int
 
     def __post_init__(self):
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field {self.field!r}")
+        _check_field(self.field)
         _check_dim(self.dimension, "dimension")
 
-    @property
-    def cap_threshold(self) -> float:
-        """Red boundary: on |x_0| for real rays, on p_0 for complex ones."""
-        return 1.0 / math.sqrt(2.0) if self.field == REAL else 0.5
-
-    @property
-    def belt_threshold(self) -> float:
-        """Green boundary: 1/sqrt(d) on |x_0| (real) or 1/d on p_0 (complex)."""
-        if self.field == REAL:
-            return 1.0 / math.sqrt(self.dimension)
-        return 1.0 / self.dimension
-
-    def masks(self, w):
-        """(Red, Green) masks of weights w; both comparisons are strict."""
-        return w > self.cap_threshold, w < self.belt_threshold
+    def masks(self, p):
+        """(Red, Green) masks of weights p = |x_0|^2, boundary band excluded."""
+        return (p > 0.5 + BOUNDARY_TOL,
+                p < 1.0 / self.dimension - BOUNDARY_TOL)
 
 
 def classify(rc: RegionColoring, ray) -> Region:
@@ -70,8 +62,7 @@ def classify(rc: RegionColoring, ray) -> Region:
         raise ValueError("ray field does not match the coloring")
     if comps.shape != (rc.dimension,):
         raise ValueError("ray dimension does not match the coloring")
-    red, green = rc.masks(abs(comps[0]) if rc.field == REAL
-                          else abs(comps[0]) ** 2)
+    red, green = rc.masks(abs(comps[0]) ** 2)
     return Region.RED if red else Region.GREEN if green else Region.UNCOLORED
 
 
@@ -139,26 +130,21 @@ def _proportion(count: int, samples: int, seed: int) -> MCEstimate:
 
 
 def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
-    """n uniform rays as rows, canonicalized; normalized Gaussian vectors."""
-    rows = _canonical_rows(gaussian_rows(rng, n, d, field), field)
-    return rows.real if field == REAL else rows
+    """n uniform rays as canonical complex rows; normalized Gaussian vectors."""
+    return _canonical_rows(gaussian_rows(rng, n, d, field), field)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo fractions and validity checks
 
 
-def _first_weight(g: np.ndarray, field: str) -> np.ndarray:
-    """|x_0| (real) or p_0 (complex) of unnormalized Gaussian rows."""
-    if field == REAL:
-        return np.abs(g[:, 0]) / np.linalg.norm(g, axis=1)
+def _first_weight(g: np.ndarray) -> np.ndarray:
+    """p_0 = |g_0|^2 / sum |g_j|^2 of each unnormalized Gaussian row."""
     return np.abs(g[:, 0]) ** 2 / np.sum(np.abs(g) ** 2, axis=1)
 
 
-def _weights(g: np.ndarray, field: str) -> np.ndarray:
-    """|x_j| (real) or p_j (complex) of every coordinate of Gaussian rows."""
-    if field == REAL:
-        return np.abs(g) / np.linalg.norm(g, axis=1, keepdims=True)
+def _weights(g: np.ndarray) -> np.ndarray:
+    """p_j = |g_j|^2 / sum |g_j|^2 of every coordinate of Gaussian rows."""
     p = np.abs(g) ** 2
     return p / p.sum(axis=1, keepdims=True)
 
@@ -170,7 +156,7 @@ def mc_colored_fraction(field: str, d: int, samples: int,
     rc = RegionColoring(field=field, dimension=d)
     colored = 0
     for rng, size in parts:
-        w = _first_weight(gaussian_rows(rng, size, d, field), field)
+        w = _first_weight(gaussian_rows(rng, size, d, field))
         red, green = rc.masks(w)
         colored += int((red | green).sum())
     return _proportion(colored, samples, seed)
@@ -193,7 +179,7 @@ def region_validity_mc(field: str, d: int, samples: int,
     both_red = 0
     all_green = 0
     for rng, size in parts:
-        w = _weights(gaussian_rows(rng, size, d, field), field)
+        w = _weights(gaussian_rows(rng, size, d, field))
         red, green = rc.masks(w)
         reds = red.sum(axis=1)
         both_red += int((reds * (reds - 1) // 2).sum())
@@ -215,7 +201,7 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     rc = RegionColoring(field=REAL, dimension=d)
     full = 0
     for rng, size in parts:
-        w = _weights(gaussian_rows(rng, size, d, REAL), REAL)
+        w = _weights(gaussian_rows(rng, size, d, REAL))
         red, green = rc.masks(w)
         fully = (red | green).all(axis=1)
         if not np.all(red[fully].sum(axis=1) == 1):
@@ -266,14 +252,15 @@ class SeparableState:
             object.__setattr__(self, "phi_b", 0.0)
 
 
+def _quadrant(phi_a, phi_b):
+    """Quadrant index 0-3 (I-IV) of phases in [0, 2 pi), elementwise: the
+    upper half of phi_a counts 2 and the upper half of phi_b counts 1."""
+    return (phi_a >= math.pi) * 2 + (phi_b >= math.pi)
+
+
 def separable_quadrant(s: SeparableState) -> Quadrant:
     """Quadrant by (phi_a, phi_b) half-interval membership."""
-    a_high = s.phi_a >= math.pi
-    b_high = s.phi_b >= math.pi
-    return (Quadrant.IV if a_high and b_high
-            else Quadrant.III if a_high
-            else Quadrant.II if b_high
-            else Quadrant.I)
+    return tuple(Quadrant)[_quadrant(s.phi_a, s.phi_b)]
 
 
 def _qubit(theta: float, phi: float) -> np.ndarray:
@@ -302,17 +289,10 @@ def separable_validity_mc(samples: int, seed: int) -> int:
     for rng, size in chunks(seed, samples):
         phi = rng.uniform(0.0, TWO_PI, size=(size, 2))
         chi_phi = rng.uniform(0.0, TWO_PI, size=(size, 2))
-
-        quad = ((phi[:, 0] >= math.pi).astype(int) * 2
-                + (phi[:, 1] >= math.pi).astype(int))
-        flip_a = np.mod(phi[:, 0] + math.pi, TWO_PI)
-        partner_a = ((flip_a >= math.pi).astype(int) * 2
-                     + (chi_phi[:, 0] >= math.pi).astype(int))
-        flip_b = np.mod(phi[:, 1] + math.pi, TWO_PI)
-        partner_b = ((chi_phi[:, 1] >= math.pi).astype(int) * 2
-                     + (flip_b >= math.pi).astype(int))
-        violations += int((quad == partner_a).sum())
-        violations += int((quad == partner_b).sum())
+        flip = np.mod(phi + math.pi, TWO_PI)
+        quad = _quadrant(phi[:, 0], phi[:, 1])
+        violations += int((quad == _quadrant(flip[:, 0], chi_phi[:, 0])).sum())
+        violations += int((quad == _quadrant(chi_phi[:, 1], flip[:, 1])).sum())
     return violations
 
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import REAL, InvariantViolation, RaySet, build_rayset
+from .rays import (REAL, InvariantViolation, RaySet, _check_field,
+                   build_rayset)
 from .rng import gaussian_rows, stream_rng
 
 
@@ -122,8 +123,8 @@ def from_edges(n: int, edges, dimension: int) -> OrthoGraph:
                       vertex_labels=tuple(f"v{k}" for k in range(n)))
 
 
-def cycle_graph(n: int, dimension: int = 3) -> OrthoGraph:
-    return from_edges(n, [(k, (k + 1) % n) for k in range(n)], dimension)
+def cycle_graph(n: int) -> OrthoGraph:
+    return from_edges(n, [(k, (k + 1) % n) for k in range(n)], 3)
 
 
 def complete_graph(n: int, dimension: int) -> OrthoGraph:
@@ -231,6 +232,7 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL,
     first success by restart index wins.  d must be an integer >= 2.
     """
     _check_dim(d, "dimension")
+    _check_field(field)
     n = g.n
     i, j = np.nonzero(np.triu(g.adjacency, 1))
     apart = ~g.adjacency & ~np.eye(n, dtype=bool)

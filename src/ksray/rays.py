@@ -42,6 +42,12 @@ class InvariantViolation(ValueError):
         self.index = index
 
 
+def _check_field(field) -> None:
+    """Refuse a field other than "real" or "complex"."""
+    if field not in (REAL, COMPLEX):  # a tuple: field may be unhashable
+        raise ValueError(f"unknown field {field!r}")
+
+
 def _canonical_rows(M, field: str) -> np.ndarray:
     """Canonical form of each row of an (n, d) array, as a new complex array.
 
@@ -52,8 +58,7 @@ def _canonical_rows(M, field: str) -> np.ndarray:
     InvariantViolation with its index, chained to the ValueError,
     FieldMismatch or ZeroVector that names the problem.
     """
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field {field!r}")
+    _check_field(field)
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.size == 0 or M.shape[1] < 2:
         raise ValueError("rays need at least 2 components each, "
@@ -237,9 +242,13 @@ def three_cubes(phi: float = 0.0) -> RaySet:
     matrix entry of each rotation and never changes any orthogonality.
     Labels record every (cube, source ray) pair that lands on a given ray,
     joined by "|"; deduplication keeps first occurrences in construction
-    order (cube I, then II, then III, each in cube13 order).
+    order (cube I, then II, then III, each in cube13 order).  A phase that
+    is NaN or infinite raises ValueError.
     """
-    phi = float(phi) % (2.0 * math.pi)
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi!r}")
+    phi %= 2.0 * math.pi
     field = REAL if phi == 0.0 else COMPLEX
     base = cube13()
     cube_one = _COMMON_FRAME @ base.matrix[:, :, None]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rays import COMPLEX
+from .rays import COMPLEX, _check_field
 
 CHUNK = 1 << 16
 
@@ -25,6 +25,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def gaussian_rows(rng, n: int, d: int, field: str) -> np.ndarray:
     """n rows of d standard normals; complex rows draw the real parts of
     all rows first, then the imaginary parts."""
+    _check_field(field)
     g = rng.standard_normal((n, d))
     if field == COMPLEX:
         g = g + 1j * rng.standard_normal((n, d))

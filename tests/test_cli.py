@@ -329,6 +329,14 @@ def test_non_finite_file_exit_code(tmp_path, capsys, verb, bad):
     assert err.startswith("error: ray 2: ") and "not finite" in err
 
 
+@pytest.mark.parametrize("verb", [["color", "--set"], ["catalog", "emit"]])
+@pytest.mark.parametrize("phase", ["nan", "inf"])
+def test_non_finite_phase_exit_code(capsys, verb, phase):
+    code, out, err = capture(capsys, [*verb, "three-cubes", "--phase", phase])
+    assert code == 2 and out == ""
+    assert err == f"error: phase must be finite, got {phase}\n"
+
+
 def test_zero_quantum_state_exit_code(capsys):
     code, out, err = capture(capsys, ["platter", "--strategy", "quantum",
                                       "--trials", "1000", "--state", "0,0,0"])

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,6 +17,8 @@ from ksray import (
     region_validity_mc, sample_rays, separable_quadrant, separable_to_ray,
     separable_validity_mc, stream_rng,
 )
+from ksray import ortho
+from ksray.measure import _quadrant
 from ksray.rng import CHUNK, gaussian_rows
 
 SQ2 = math.sqrt(2.0)
@@ -30,6 +35,51 @@ def test_classify_real_pole_is_red():
 def test_classify_real_equator_is_green():
     rc = RegionColoring(REAL, 3)
     assert classify(rc, canonicalize((0, 1, 0), REAL)) is Region.GREEN
+
+
+def _integer_rays():
+    """(d, v) for every nonzero v with entries in {0, +-1, +-2, 3} for
+    d = 2-4 and in {0, +-1} for d = 5-9."""
+    for d in range(2, 10):
+        entries = (0, 1, -1, 2, -2, 3) if d <= 4 else (0, 1, -1)
+        for v in itertools.product(entries, repeat=d):
+            if any(v):
+                yield d, v
+
+
+@functools.cache
+def _exact_region(top: int, total: int, d: int) -> Region:
+    """The cap-and-belt rule on the exact weight p_0 = top / total."""
+    p0 = Fraction(top, total)
+    if p0 > Fraction(1, 2):
+        return Region.RED
+    return Region.GREEN if p0 < Fraction(1, d) else Region.UNCOLORED
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_classify_matches_exact_rule_on_integer_rays(field):
+    # p_0 of an integer ray is rational, so the exact rule decides every
+    # region, and a ray exactly on a boundary is Uncolored whatever rounding
+    # does to its canonical form; complex rays put i on the odd coordinates
+    rcs = {d: RegionColoring(field, d) for d in range(2, 10)}
+    wrong = []
+    for d, v in _integer_rays():
+        vec = v if field == REAL else [x * 1j if k % 2 else x
+                                       for k, x in enumerate(v)]
+        got = classify(rcs[d], canonicalize(vec, field))
+        if got is not _exact_region(v[0] ** 2, sum(x * x for x in v), d):
+            wrong.append(v)
+    assert not wrong, wrong[:5]
+
+
+def test_boundary_pairs_are_not_both_red_or_both_green():
+    # orthogonal rays on the cap boundary of R^2, and a basis of C^2 on its
+    # belt boundary
+    for field, pair in [(REAL, [(3, 3), (3, -3)]),
+                        (COMPLEX, [(1 / SQ2, 1 / SQ2), (1 / SQ2, -1 / SQ2)])]:
+        rc = RegionColoring(field, 2)
+        regions = {classify(rc, canonicalize(v, field)) for v in pair}
+        assert regions != {Region.RED} and regions != {Region.GREEN}
 
 
 def test_classify_real_band_is_uncolored():
@@ -155,6 +205,25 @@ def test_non_integer_dimension_is_a_value_error(call):
         call()
 
 
+def _no_draws(*args):
+    raise AssertionError("random numbers drawn for an unknown field")
+
+
+def test_unknown_field_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(ortho, "stream_rng", _no_draws)
+    calls = [
+        lambda: gaussian_rows(stream_rng(0, 0), 1, 3, "Complex"),
+        lambda: gaussian_rows(stream_rng(0, 0), 1, 3, [COMPLEX]),
+        lambda: realize(cycle_graph(5), 3, 0, field="Real"),
+        lambda: sample_rays("Real", 3, 1, stream_rng(0, 0)),
+        lambda: RegionColoring("Real", 3),
+        lambda: canonicalize((1, 0), "Real"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown field"):
+            call()
+
+
 def test_numpy_integer_dimension_is_valid():
     d = np.int64(5)
     assert colored_fraction_real(d) == colored_fraction_real(5)
@@ -243,9 +312,9 @@ def test_haar_bases_obey_region_rules(field, d):
     rc = RegionColoring(field, d)
     Q = sample_bases(field, d, 20_000, stream_rng(1212, d))
     a = np.abs(np.concatenate([Q, Q.transpose(0, 2, 1)], axis=1))
-    w = (a if field == REAL else a ** 2).reshape(-1, d)
-    assert (w > rc.cap_threshold).sum(axis=1).max() <= 1
-    assert not (w < rc.belt_threshold).all(axis=1).any()
+    red, green = rc.masks((a ** 2).reshape(-1, d))
+    assert red.sum(axis=1).max() <= 1
+    assert not green.all(axis=1).any()
 
 
 # --- Monte Carlo fractions ------------------------------------------------------
@@ -400,6 +469,17 @@ def test_quadrant_partition():
         SeparableState(1.0, math.pi + 0.1, 1.0, 0.1)) is Quadrant.III
     assert separable_quadrant(
         SeparableState(1.0, math.pi + 0.1, 1.0, math.pi + 0.2)) is Quadrant.IV
+
+
+def test_quadrant_rule_elementwise():
+    # the edges of each half-interval, then seeded phases
+    edges = [0.0, math.nextafter(math.pi, 0.0), math.pi]
+    a, b = np.array(list(itertools.product(edges, repeat=2))).T
+    drawn = stream_rng(515, 0).uniform(0.0, 2 * math.pi, (2, 500))
+    a, b = np.concatenate([a, drawn[0]]), np.concatenate([b, drawn[1]])
+    states = [SeparableState(1.0, x, 1.0, y) for x, y in zip(a, b)]
+    want = [tuple(Quadrant).index(separable_quadrant(s)) for s in states]
+    assert _quadrant(a, b).tolist() == want
 
 
 def test_orthogonal_partner_lands_in_other_quadrant():

@@ -108,7 +108,7 @@ def test_complete_bases_ceg18():
 
 
 def test_complete_bases_c5_empty():
-    assert complete_bases(cycle_graph(5, dimension=3)) == []
+    assert complete_bases(cycle_graph(5)) == []
 
 
 def test_catalog_cliques_respect_dimension():
@@ -146,7 +146,7 @@ def test_peres24_unbiased_triples():
 # --- realize ----------------------------------------------------------------
 
 def test_realize_c5_in_3d():
-    g = cycle_graph(5, dimension=3)
+    g = cycle_graph(5)
     rs = realize(g, 3, seed=1)
     M = rs.matrix
     residual = sum(abs(np.vdot(M[i], M[j])) ** 2 for i, j in g.edges)
@@ -158,7 +158,7 @@ def test_realize_c5_in_3d():
 
 def test_realize_c5_in_2d_fails():
     with pytest.raises(NonConvergence) as err:
-        realize(cycle_graph(5, dimension=3), 2, seed=3)
+        realize(cycle_graph(5), 2, seed=3)
     assert err.value.residual > 1e-10
 
 
@@ -168,7 +168,7 @@ def test_realize_k4_in_3d_fails():
 
 
 def test_realize_strict_mode_separates_nonedges():
-    g = cycle_graph(5, dimension=3)
+    g = cycle_graph(5)
     rs = realize(g, 3, seed=9, strict=True)
     M = rs.matrix
     realized = ortho_graph(rs)
@@ -230,7 +230,7 @@ def test_realize_strict_complex_separates_nonedges():
 def test_realize_failure_is_a_numerical_failure():
     assert issubclass(NonConvergence, NumericalFailure)
     with pytest.raises(NumericalFailure) as err:
-        realize(cycle_graph(5, dimension=3), 2, seed=3)
+        realize(cycle_graph(5), 2, seed=3)
     assert err.value.residual == err.value.gap > 1e-10
 
 

@@ -187,6 +187,12 @@ def test_three_cubes_labels_pinned(phi):
     assert three_cubes(phi).labels == THREE_CUBES_LABELS
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_three_cubes_rejects_non_finite_phase(phi):
+    with pytest.raises(ValueError, match="phase must be finite"):
+        three_cubes(phi)
+
+
 def test_three_cubes_complex_field_off_zero():
     assert three_cubes(0.0).field == REAL
     assert three_cubes(0.3).field == COMPLEX
