@@ -139,7 +139,8 @@ def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
 
 
 def _first_weight(g: np.ndarray) -> np.ndarray:
-    """p_0 = |g_0|^2 / sum |g_j|^2 of each unnormalized Gaussian row."""
+    """p_0 = |g_0|^2 / sum |g_j|^2 of each unnormalized Gaussian row; equal
+    to _weights(g)[:, 0] bit for bit, without computing the other columns."""
     return np.abs(g[:, 0]) ** 2 / np.sum(np.abs(g) ** 2, axis=1)
 
 
@@ -149,15 +150,23 @@ def _weights(g: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _region_masks(field: str, d: int, samples: int, seed: int, weights):
+    """(Red, Green) masks of weights(g) for the Gaussian rows g of each chunk.
+
+    The budget is checked before the coloring, so a bad budget is reported
+    first.
+    """
+    parts = chunks(seed, samples)
+    rc = RegionColoring(field=field, dimension=d)
+    for rng, size in parts:
+        yield rc.masks(weights(gaussian_rows(rng, size, d, field)))
+
+
 def mc_colored_fraction(field: str, d: int, samples: int,
                         seed: int) -> MCEstimate:
     """Fraction of sampled rays that land in the cap or the belt."""
-    parts = chunks(seed, samples)
-    rc = RegionColoring(field=field, dimension=d)
     colored = 0
-    for rng, size in parts:
-        w = _first_weight(gaussian_rows(rng, size, d, field))
-        red, green = rc.masks(w)
+    for red, green in _region_masks(field, d, samples, seed, _first_weight):
         colored += int((red | green).sum())
     return _proportion(colored, samples, seed)
 
@@ -174,13 +183,9 @@ def region_validity_mc(field: str, d: int, samples: int,
     small for two orthogonal rays and the belt too small for a complete
     basis.
     """
-    parts = chunks(seed, samples)
-    rc = RegionColoring(field=field, dimension=d)
     both_red = 0
     all_green = 0
-    for rng, size in parts:
-        w = _weights(gaussian_rows(rng, size, d, field))
-        red, green = rc.masks(w)
+    for red, green in _region_masks(field, d, samples, seed, _weights):
         reds = red.sum(axis=1)
         both_red += int((reds * (reds - 1) // 2).sum())
         all_green += int(green.all(axis=1).sum())
@@ -197,12 +202,8 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     member; this is asserted inside the loop as a side check.
     """
     _check_dim(d, "d")
-    parts = chunks(seed, samples)
-    rc = RegionColoring(field=REAL, dimension=d)
     full = 0
-    for rng, size in parts:
-        w = _weights(gaussian_rows(rng, size, d, REAL))
-        red, green = rc.masks(w)
+    for red, green in _region_masks(REAL, d, samples, seed, _weights):
         fully = (red | green).all(axis=1)
         if not np.all(red[fully].sum(axis=1) == 1):
             raise AssertionError("fully colored basis without exactly one Red")

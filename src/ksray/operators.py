@@ -129,14 +129,8 @@ def platter_simulate(strategy, trials: int, seed: int) -> PlatterOutcome:
     matter how chunks are scheduled.
     """
     parts = chunks(seed, trials, what="trials")
-    hits = np.zeros(5, dtype=np.int64)
-    obs = np.zeros(5, dtype=np.int64)
-    first = np.array([e[0] for e in _PENT_EDGES])
-    second = np.array([e[1] for e in _PENT_EDGES])
-
     if isinstance(strategy, ClassicalStrategy):
         name = "classical"
-        assign = np.array(strategy.assignment)
     elif isinstance(strategy, ConspiratorialStrategy):
         name = "conspiratorial"
     elif isinstance(strategy, QuantumStrategy):
@@ -145,27 +139,22 @@ def platter_simulate(strategy, trials: int, seed: int) -> PlatterOutcome:
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
 
+    edges = np.zeros(5, dtype=np.int64)  # draws of edge (k, k+1)
+    hits = np.zeros(5, dtype=np.int64)
     for rng, size in parts:
         draws = rng.integers(0, 5, size=size)
-        edge_count = np.bincount(draws, minlength=5)
-        obs_chunk = np.zeros(5, dtype=np.int64)
-        np.add.at(obs_chunk, first, edge_count)
-        np.add.at(obs_chunk, second, edge_count)
-        obs += obs_chunk
-        if name == "classical":
-            hits += assign * obs_chunk
-        elif name == "conspiratorial":
-            # the stone sits under the first cup of the drawn pair
-            hits += edge_count
-        else:
+        edges += np.bincount(draws, minlength=5)
+        if name == "quantum":
             u = rng.random((size, 2))
-            cup_a = first[draws]
-            cup_b = second[draws]
-            hit_a = u[:, 0] < probs[cup_a]
-            hit_b = u[:, 1] < probs[cup_b]
-            np.add.at(hits, cup_a[hit_a], 1)
-            np.add.at(hits, cup_b[hit_b], 1)
+            second = (draws + 1) % 5
+            hits += np.bincount(draws[u[:, 0] < probs[draws]], minlength=5)
+            hits += np.bincount(second[u[:, 1] < probs[second]], minlength=5)
 
+    obs = edges + np.roll(edges, 1)  # cup k is opened by edges k and k - 1
+    if name == "classical":
+        hits = np.array(strategy.assignment) * obs
+    elif name == "conspiratorial":
+        hits = edges  # the stone sits under the first cup of the drawn pair
     freq = np.divide(hits, obs, out=np.zeros(5), where=obs > 0)
     return PlatterOutcome(strategy=name, estimate=float(freq.sum()),
                           trials=trials, seed=seed,

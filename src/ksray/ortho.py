@@ -68,9 +68,7 @@ class OrthoGraph:
     vertex_labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not _is_int(self.dimension) or self.dimension < 2:
-            raise ValueError("dimension must be an integer >= 2, "
-                             f"got {self.dimension!r}")
+        _check_dim(self.dimension, "dimension")
         a = self.adjacency
         if a.shape != (self.n, self.n):
             raise ValueError("adjacency shape mismatch")
@@ -203,8 +201,7 @@ def basis_incidence(bases, n: int) -> list[int]:
 # numeric realization
 
 
-def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL,
-            strict: bool = False) -> RaySet:
+def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
     """Find unit vectors in dimension d realizing the edges of g as orthogonalities.
 
     Levenberg-Marquardt (Marquardt 1963) on the n x d matrix V, stored as
@@ -221,10 +218,8 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL,
     Success means r.r, which sums the squared edge overlaps and norm
     defects, falls below 1e-10 (in practice it reaches ~1e-28, so the
     realized graph contains every requested edge at ORTHO_TOL).  Non-edges
-    are unconstrained unless strict is set, which nudges non-edges with
-    overlap below 1e-3 apart and solves again.
-    Failure raises NonConvergence with the best residual seen; it is a
-    heuristic failure, not a proof of non-realizability.
+    are unconstrained.  Failure raises NonConvergence with the best residual
+    seen; it is a heuristic failure, not a proof of non-realizability.
 
     In the real field about one start in five stalls with some vectors
     shrunk towards zero, and more steps do not rescue it, so restart k of
@@ -235,16 +230,12 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL,
     _check_field(field)
     n = g.n
     i, j = np.nonzero(np.triu(g.adjacency, 1))
-    apart = ~g.adjacency & ~np.eye(n, dtype=bool)
     complex_ = field != REAL
     e = np.arange(len(i))
     # every residual is a quadratic form plus a constant, so by Euler's
     # theorem r = (J x - offset) / 2, with offset 1 on the vertex rows
     offset = np.repeat([0.0, 1.0], [(2 if complex_ else 1) * len(i), n])
     best_res = np.inf
-
-    def vectors(X: np.ndarray) -> np.ndarray:
-        return X[:, :d] + 1j * X[:, d:] if complex_ else X
 
     def jacobian(X: np.ndarray) -> np.ndarray:
         jac = np.zeros((len(offset), n, X.shape[1]))
@@ -275,16 +266,11 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL,
     for attempt in range(RESTARTS):
         V = gaussian_rows(stream_rng(seed, attempt), n, d, field)
         X, res = solve(np.hstack([V.real, V.imag]) if complex_ else V)
-        for _ in range(20 if strict else 0):
-            V = vectors(X)
-            close = (np.abs(V.conj() @ V.T) < 1e-3) & apart
-            if res >= 1e-10 or not close.any():
-                break
-            X, res = solve(X + 5e-3 * close @ X)
         best_res = min(best_res, res)
         if res < 1e-10:
             try:
-                return build_rayset(vectors(X), field, g.vertex_labels)
+                V = X[:, :d] + 1j * X[:, d:] if complex_ else X
+                return build_rayset(V, field, g.vertex_labels)
             except InvariantViolation:
                 continue  # coincident rays cannot populate a RaySet
     raise NonConvergence(

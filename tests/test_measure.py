@@ -17,9 +17,9 @@ from ksray import (
     region_validity_mc, sample_rays, separable_quadrant, separable_to_ray,
     separable_validity_mc, stream_rng,
 )
-from ksray import ortho
+from ksray import measure, ortho
 from ksray.measure import _quadrant
-from ksray.rng import CHUNK, gaussian_rows
+from ksray.rng import CHUNK, chunk_sizes, gaussian_rows
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -347,6 +347,26 @@ def test_mc_deterministic():
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_region_validity(field, d):
     assert region_validity_mc(field, d, 20_000, seed=303) == (0, 0)
+
+
+def test_region_reductions_count_a_widened_band(monkeypatch):
+    # a negative band widens both regions (Red p > 0.3, Green p < 1/d + 0.2)
+    # so the reductions count non-zero events; an oracle recounts them
+    monkeypatch.setattr(measure, "BOUNDARY_TOL", -0.2)
+    samples, seed = 70_000, 5  # a full chunk and a short last one
+    for field, d in ((REAL, 3), (COMPLEX, 4)):
+        both_red = all_green = 0
+        for k, size in enumerate(chunk_sizes(samples)):
+            g = gaussian_rows(stream_rng(seed, k), size, d, field)
+            p = np.abs(g / np.linalg.norm(g, axis=1, keepdims=True)) ** 2
+            reds = (p > 0.3).sum(axis=1)
+            both_red += int((reds * (reds - 1) // 2).sum())
+            all_green += int((p < 1 / d + 0.2).all(axis=1).sum())
+        assert both_red > 0 and all_green > 0
+        assert region_validity_mc(field, d, samples, seed) == (both_red,
+                                                               all_green)
+    with pytest.raises(AssertionError, match="exactly one Red"):
+        basis_colored_fraction_mc(3, samples, seed)
 
 
 RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
