@@ -5,14 +5,12 @@ from .rays import (
     RaySet, canonicalize, build_rayset, CATALOGS,
     cube13, peres24, three_cubes, kcbs5, ceg18, cube_members,
     load_rayset, rayset_to_json,
-    ZeroVector, FieldMismatch, ParseError, InvariantViolation,
-    REAL, COMPLEX,
+    InvalidInput, REAL, COMPLEX,
 )
 from .ortho import (
     OrthoGraph, ortho_graph, from_edges, cycle_graph, complete_graph,
     empty_graph, maximal_cliques, complete_bases, basis_incidence,
     realize, unbiased_basis_triples, graph_to_json, graph_from_json,
-    NonConvergence, TooLarge,
 )
 from .kscolor import (
     Color, KSVerdict, ParityCertificate, ExhaustionProof,
@@ -25,7 +23,7 @@ from .bounds import (
 from .operators import (
     projector_sum, eigen_max, equal_weight_povm_check, platter_simulate,
     ClassicalStrategy, ConspiratorialStrategy, QuantumStrategy,
-    PlatterOutcome, InvalidAssignment,
+    PlatterOutcome,
 )
 from .measure import (
     Region, RegionColoring, MCEstimate, classify,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho import (NumericalFailure, OrthoGraph, TooLarge, _bits,
+from .ortho import (InvalidInput, NumericalFailure, OrthoGraph, _bits,
                     _neighbor_masks, maximal_cliques)
 
 SIZE_GUARD = 64
@@ -24,9 +24,9 @@ EPS = 1e-6  # largest certified theta gap; the sandwich check's slack
 
 def _check_size(g: OrthoGraph, empty_ok: bool = False) -> None:
     if g.n > SIZE_GUARD:
-        raise TooLarge(f"{g.n} vertices exceeds the guard of {SIZE_GUARD}")
+        raise InvalidInput(f"{g.n} vertices exceeds the guard of {SIZE_GUARD}")
     if g.n == 0 and not empty_ok:
-        raise ValueError("the graph has no vertices")
+        raise InvalidInput("the graph has no vertices")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: catalog, graph, color, bounds, spectrum, platter, measure.
-Exit codes: 0 success, 2 invalid input, 1 numerical failure.  Output for a
-fixed argv (including seeds) is byte-identical between runs.
+Exit codes: 0 success, 2 invalid input (InvalidInput or OSError), 1 numerical
+failure (NumericalFailure or numpy's LinAlgError); any other exception is a
+bug and surfaces as a traceback.  Output for a fixed argv (including seeds)
+is byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -23,13 +25,17 @@ def _resolve_set(args) -> rays.RaySet:
     """Named catalog sets resolve first; an explicit file overrides the name."""
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
-            return rays.load_rayset(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:  # a binary file
+                raise rays.InvalidInput(str(exc)) from exc
+        return rays.load_rayset(text)
     name = args.set
     if name is None:
-        raise rays.ParseError("no ray set given; use --set or --file")
+        raise rays.InvalidInput("no ray set given; use --set or --file")
     make = rays.CATALOGS.get(name)
     if make is None:
-        raise rays.ParseError(
+        raise rays.InvalidInput(
             f"unknown set {name!r}; choices: {', '.join(rays.CATALOGS)}")
     return make(args.phase) if make is rays.three_cubes else make()
 
@@ -125,15 +131,22 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _components(kind, text: str) -> tuple:
+    """The comma-separated entries of text, each read by kind."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError as exc:
+        raise rays.InvalidInput(str(exc)) from exc
+
+
 def cmd_platter(args) -> int:
     if args.strategy == "classical":
-        assignment = tuple(int(x) for x in args.assignment.split(","))
-        strategy = operators.ClassicalStrategy(assignment)
+        strategy = operators.ClassicalStrategy(
+            _components(int, args.assignment))
     elif args.strategy == "conspiratorial":
         strategy = operators.ConspiratorialStrategy()
     else:
-        state = tuple(complex(x) for x in args.state.split(","))
-        strategy = operators.QuantumStrategy(state)
+        strategy = operators.QuantumStrategy(_components(complex, args.state))
     out = operators.platter_simulate(strategy, args.trials, args.seed)
     print(f"strategy: {out.strategy}")
     print(f"estimate: {_fmt(out.estimate)}")
@@ -145,9 +158,10 @@ def _parse_scan(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split(":"))
     except ValueError:
-        raise rays.ParseError(f"--scan must be LO:HI, got {text!r}") from None
+        raise rays.InvalidInput(
+            f"--scan must be LO:HI, got {text!r}") from None
     if not 2 <= lo <= hi:
-        raise rays.ParseError(f"--scan needs 2 <= LO <= HI, got {text!r}")
+        raise rays.InvalidInput(f"--scan needs 2 <= LO <= HI, got {text!r}")
     return lo, hi
 
 
@@ -163,7 +177,7 @@ def cmd_fraction(args) -> int:
                *(f"{d},{_fmt(f)}" for d, f in zip(dims, fracs))])
         return 0
     if args.dim is None:
-        raise rays.ParseError("measure fraction needs --dim or --scan")
+        raise rays.InvalidInput("measure fraction needs --dim or --scan")
     exact = fn(args.dim)
     record, lines = {"closed_form": exact}, [f"closed form: {_fmt(exact)}"]
     if args.mc is not None:
@@ -294,10 +308,10 @@ def run(argv=None) -> int:
         args.set = args.set.replace("_", "-")
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (rays.InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ortho.NumericalFailure as exc:
+    except (rays.NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

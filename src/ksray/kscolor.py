@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .ortho import (OrthoGraph, TooLarge, _bits, _neighbor_masks,
+from .ortho import (InvalidInput, OrthoGraph, _bits, _neighbor_masks,
                     basis_incidence, complete_bases)
 
 
@@ -33,9 +33,9 @@ class ParityCertificate:
 
     def __post_init__(self):
         if self.basis_count % 2 == 0:
-            raise ValueError("parity certificate needs an odd basis count")
+            raise InvalidInput("parity certificate needs an odd basis count")
         if any(c % 2 for c in self.incidence_counts):
-            raise ValueError("parity certificate needs all-even incidences")
+            raise InvalidInput("parity certificate needs all-even incidences")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def verify_coloring(g: OrthoGraph, bases, coloring):
     """
     colors = list(coloring)
     if len(colors) != g.n:
-        raise ValueError("coloring must be total over the vertices")
+        raise InvalidInput("coloring must be total over the vertices")
     for i, j in g.edges:
         if colors[i] is Color.RED and colors[j] is Color.RED:
             return False, ("edge", (i, j))
@@ -182,7 +182,7 @@ def count_colorings(g: OrthoGraph, bases=None) -> int:
     are pre-colored Green and factored out as a power of two.
     """
     if g.n > COUNT_GUARD:
-        raise TooLarge(f"{g.n} vertices exceeds the guard of {COUNT_GUARD}")
+        raise InvalidInput(f"{g.n} vertices exceeds the guard of {COUNT_GUARD}")
     if bases is None:
         bases = complete_bases(g)
     searcher = _Searcher(g, bases)

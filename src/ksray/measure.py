@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ortho import _check_dim
-from .rays import COMPLEX, REAL, _canonical_rows, _check_field, canonicalize
+from .rays import (COMPLEX, REAL, InvalidInput, _canonical_rows, _check_field,
+                   canonicalize)
 from .rng import chunks, gaussian_rows
 
 BOUNDARY_TOL = 1e-12  # a weight this close to 1/2 or 1/d is on the boundary
@@ -59,9 +60,9 @@ def classify(rc: RegionColoring, ray) -> Region:
     """
     comps = np.asarray(ray)
     if rc.field == REAL and np.any(np.imag(comps)):
-        raise ValueError("ray field does not match the coloring")
+        raise InvalidInput("ray field does not match the coloring")
     if comps.shape != (rc.dimension,):
-        raise ValueError("ray dimension does not match the coloring")
+        raise InvalidInput("ray dimension does not match the coloring")
     red, green = rc.masks(abs(comps[0]) ** 2)
     return Region.RED if red else Region.GREEN if green else Region.UNCOLORED
 
@@ -242,11 +243,11 @@ class SeparableState:
         for name in ("theta_a", "theta_b"):
             t = getattr(self, name)
             if not 0.0 <= t <= math.pi:
-                raise ValueError(f"{name} out of [0, pi]")
+                raise InvalidInput(f"{name} out of [0, pi]")
         for name in ("phi_a", "phi_b"):
             p = getattr(self, name)
             if not 0.0 <= p < TWO_PI:
-                raise ValueError(f"{name} out of [0, 2 pi)")
+                raise InvalidInput(f"{name} out of [0, 2 pi)")
         if self.theta_a in (0.0, math.pi):
             object.__setattr__(self, "phi_a", 0.0)
         if self.theta_b in (0.0, math.pi):

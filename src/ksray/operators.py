@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho import NumericalFailure
-from .rays import RaySet, kcbs5
+from .rays import InvalidInput, NumericalFailure, RaySet, kcbs5
 from .rng import chunks
 
 HERMITIAN_TOL = 1e-12
@@ -15,14 +14,10 @@ EIGEN_TOL = 1e-10  # largest accepted eigen residual ||Hv - lambda v||
 POVM_TOL = 1e-9  # largest entry of sum - c I for an equal-weight POVM
 
 
-class InvalidAssignment(ValueError):
-    """Classical platter assignment puts stones under two adjacent cups."""
-
-
 def projector_sum(rs: RaySet) -> np.ndarray:
     """Sum of the rank-1 projectors |r><r| over the set."""
     if len(rs) == 0:
-        raise ValueError("empty ray set")
+        raise InvalidInput("empty ray set")
     M = rs.matrix
     return M.T @ M.conj()
 
@@ -35,9 +30,9 @@ def eigen_max(H: np.ndarray) -> float:
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("square matrix required")
+        raise InvalidInput("square matrix required")
     if np.abs(H - H.conj().T).max() > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-12")
+        raise InvalidInput("matrix is not Hermitian within 1e-12")
     w, v = np.linalg.eigh(H)
     lam = float(w[-1])
     vec = v[:, -1]
@@ -76,10 +71,10 @@ class ClassicalStrategy:
     def __post_init__(self):
         a = self.assignment
         if len(a) != 5 or any(x not in (0, 1) for x in a):
-            raise InvalidAssignment("assignment must be five 0/1 entries")
+            raise InvalidInput("assignment must be five 0/1 entries")
         for i, j in _PENT_EDGES:
             if a[i] == 1 and a[j] == 1:
-                raise InvalidAssignment(f"adjacent stones at cups {i} and {j}")
+                raise InvalidInput(f"adjacent stones at cups {i} and {j}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +91,11 @@ class QuantumStrategy:
     def probabilities(self) -> np.ndarray:
         psi = np.asarray(self.state, dtype=np.complex128).reshape(-1)
         if psi.size != 3:
-            raise ValueError("state must have 3 components")
+            raise InvalidInput("state must have 3 components")
         norm = np.linalg.norm(psi)
         if not (np.isfinite(norm) and norm > 0.0):
-            raise ValueError(f"state norm {norm:g} is not finite and positive")
+            raise InvalidInput(
+                f"state norm {norm:g} is not finite and positive")
         psi = psi / norm
         M = kcbs5().matrix
         return np.abs(M.conj() @ psi) ** 2

@@ -8,14 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import (REAL, InvariantViolation, RaySet, _check_field,
-                   build_rayset)
+from .rays import (REAL, InvalidInput, NumericalFailure, RaySet, _check_field,
+                   _read_json, build_rayset)
 from .rng import gaussian_rows, stream_rng
 
 
 ORTHO_TOL = 1e-9  # |<r_i, r_j>| below this is an edge
 MAX_STEPS = 200  # Levenberg-Marquardt steps per realize start
-RESTARTS = 8  # realize starts before NonConvergence
+RESTARTS = 8  # realize starts before NumericalFailure
 UNBIASED_TOL = 1e-12  # on |<e,f>|^2 - 1/d in unbiased_basis_triples
 
 
@@ -27,30 +27,9 @@ def _is_int(x) -> bool:
 def _check_dim(d, name: str) -> None:
     """Refuse a dimension d that is not an integer >= 2, naming it name."""
     if not _is_int(d):
-        raise ValueError(f"{name} must be an integer, got {d!r}")
+        raise InvalidInput(f"{name} must be an integer, got {d!r}")
     if d < 2:
-        raise ValueError(f"{name} must be >= 2")
-
-
-class TooLarge(ValueError):
-    """Vertex count above the size guard of an exhaustive method."""
-
-
-class NumericalFailure(RuntimeError):
-    """A numerical result failed its check; the gap, residual or violation
-    (or nan) attached."""
-
-    def __init__(self, message: str, gap: float):
-        super().__init__(message)
-        self.gap = gap
-
-
-class NonConvergence(NumericalFailure):
-    """Realization did not reach the residual target; best residual attached."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message, residual)
-        self.residual = residual
+        raise InvalidInput(f"{name} must be >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,25 +50,22 @@ class OrthoGraph:
         _check_dim(self.dimension, "dimension")
         a = self.adjacency
         if a.shape != (self.n, self.n):
-            raise ValueError("adjacency shape mismatch")
+            raise InvalidInput("adjacency shape mismatch")
         if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
+            raise InvalidInput("adjacency must be symmetric")
         if np.any(np.diag(a)):
-            raise ValueError("adjacency diagonal must be false")
+            raise InvalidInput("adjacency diagonal must be false")
 
     @property
     def edges(self) -> list[tuple[int, int]]:
         i, j = np.nonzero(np.triu(self.adjacency, 1))
         return list(zip(i.tolist(), j.tolist()))
 
-    def degree(self, v: int) -> int:
-        return int(self.adjacency[v].sum())
-
 
 def ortho_graph(rs: RaySet) -> OrthoGraph:
     """Graph with an edge wherever |<r_i, r_j>| < ORTHO_TOL."""
     if len(rs) == 0:
-        raise ValueError("empty ray set")
+        raise InvalidInput("empty ray set")
     M = rs.matrix
     adj = np.abs(M.conj() @ M.T) < ORTHO_TOL
     np.fill_diagonal(adj, False)
@@ -101,20 +77,21 @@ def ortho_graph(rs: RaySet) -> OrthoGraph:
 def from_edges(n: int, edges, dimension: int) -> OrthoGraph:
     """Graph on vertices 0..n-1, labeled v0.., with the given edge pairs."""
     if not _is_int(n) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+        raise InvalidInput(f"n must be an integer >= 0, got {n!r}")
     try:
         pairs = [(i, j) for i, j in edges]
     except (TypeError, ValueError):
-        raise ValueError("edges must be a list of vertex pairs") from None
+        raise InvalidInput("edges must be a list of vertex pairs") from None
     adj = np.zeros((n, n), dtype=bool)
     for i, j in pairs:
         if not (_is_int(i) and _is_int(j)):
-            raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
+            raise InvalidInput(
+                f"edge ({i!r}, {j!r}) has a non-integer endpoint")
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(
+            raise InvalidInput(
                 f"edge ({i}, {j}) has an endpoint outside range({n})")
         if i == j:
-            raise ValueError("self loop")
+            raise InvalidInput("self loop")
         adj[i, j] = adj[j, i] = True
     adj.setflags(write=False)
     return OrthoGraph(n=n, adjacency=adj, dimension=dimension,
@@ -218,8 +195,9 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
     Success means r.r, which sums the squared edge overlaps and norm
     defects, falls below 1e-10 (in practice it reaches ~1e-28, so the
     realized graph contains every requested edge at ORTHO_TOL).  Non-edges
-    are unconstrained.  Failure raises NonConvergence with the best residual
-    seen; it is a heuristic failure, not a proof of non-realizability.
+    are unconstrained.  Failure raises NumericalFailure with the best
+    residual seen as its gap; it is a heuristic failure, not a proof of
+    non-realizability.
 
     In the real field about one start in five stalls with some vectors
     shrunk towards zero, and more steps do not rescue it, so restart k of
@@ -271,9 +249,9 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
             try:
                 V = X[:, :d] + 1j * X[:, d:] if complex_ else X
                 return build_rayset(V, field, g.vertex_labels)
-            except InvariantViolation:
+            except InvalidInput:
                 continue  # coincident rays cannot populate a RaySet
-    raise NonConvergence(
+    raise NumericalFailure(
         f"no realization in d={d} after {RESTARTS} restart(s) of "
         f"{MAX_STEPS} steps (best residual {best_res:.3e})", best_res)
 
@@ -346,13 +324,13 @@ def graph_to_json(g: OrthoGraph) -> str:
 
 
 def graph_from_json(text: str) -> OrthoGraph:
-    """Read the graph_to_json format; malformed input raises ValueError."""
-    obj = json.loads(text)
+    """Read the graph_to_json format; malformed input raises InvalidInput."""
+    obj = _read_json(text)
     if not isinstance(obj, dict):
-        raise ValueError("graph JSON must be an object")
+        raise InvalidInput("graph JSON must be an object")
     for key in ("n", "edges", "dimension"):
         if key not in obj:
-            raise ValueError(f"graph JSON is missing field {key!r}")
+            raise InvalidInput(f"graph JSON is missing field {key!r}")
     if not isinstance(obj["edges"], list):
-        raise ValueError("edges must be a list of vertex pairs")
+        raise InvalidInput("edges must be a list of vertex pairs")
     return from_edges(obj["n"], obj["edges"], obj["dimension"])

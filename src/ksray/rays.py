@@ -22,30 +22,30 @@ REAL = "real"
 COMPLEX = "complex"
 
 
-class ZeroVector(ValueError):
-    """Vector too short to normalize (norm <= 1e-12)."""
+class InvalidInput(ValueError):
+    """Input that ksray refuses: a bad ray, file, graph, option or size.
 
-
-class FieldMismatch(ValueError):
-    """Real field requested but a component has a nonzero imaginary part."""
-
-
-class ParseError(ValueError):
-    """Ray-set file does not match the exchange format."""
-
-
-class InvariantViolation(ValueError):
-    """A ray-set invariant failed; carries the offending ray index."""
+    index is the offending ray when there is one, else None.
+    """
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
 
 
+class NumericalFailure(RuntimeError):
+    """A numerical result failed its check; the gap, residual or violation
+    (or nan) attached."""
+
+    def __init__(self, message: str, gap: float):
+        super().__init__(message)
+        self.gap = gap
+
+
 def _check_field(field) -> None:
     """Refuse a field other than "real" or "complex"."""
     if field not in (REAL, COMPLEX):  # a tuple: field may be unhashable
-        raise ValueError(f"unknown field {field!r}")
+        raise InvalidInput(f"unknown field {field!r}")
 
 
 def _canonical_rows(M, field: str) -> np.ndarray:
@@ -55,14 +55,13 @@ def _canonical_rows(M, field: str) -> np.ndarray:
     component above 1e-12, which is then set exactly real; in the real field
     only the real parts are kept.  The first row that is not finite, has an
     imaginary part in the real field, or has norm at most 1e-12 raises
-    InvariantViolation with its index, chained to the ValueError,
-    FieldMismatch or ZeroVector that names the problem.
+    InvalidInput with its index.
     """
     _check_field(field)
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.size == 0 or M.shape[1] < 2:
-        raise ValueError("rays need at least 2 components each, "
-                         f"got shape {M.shape}")
+        raise InvalidInput("rays need at least 2 components each, "
+                           f"got shape {M.shape}")
     # np.linalg.norm of each row, bit for bit: the same two dot products
     re, im = M.real[:, None, :], M.imag[:, None, :]
     norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
@@ -71,12 +70,12 @@ def _canonical_rows(M, field: str) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         if not np.isfinite(norms[k]):
-            exc = ValueError(f"norm {norms[k]:g} is not finite")
+            why = f"norm {norms[k]:g} is not finite"
         elif imaginary[k]:
-            exc = FieldMismatch("real field with nonzero imaginary part")
+            why = "real field with nonzero imaginary part"
         else:
-            exc = ZeroVector(f"norm {norms[k]:g} <= {NORM_TOL:g}")
-        raise InvariantViolation(f"ray {k}: {exc}", index=k) from exc
+            why = f"norm {norms[k]:g} <= {NORM_TOL:g}"
+        raise InvalidInput(f"ray {k}: {why}", index=k)
     V = M / norms[:, None]
     # np.hypot rounds as abs() of one complex scalar does; np.abs on a
     # complex array can differ in the last bit, which files would show
@@ -94,14 +93,11 @@ def canonicalize(components, field: str = REAL) -> np.ndarray:
 
     The ray is a read-only complex 1-D array, a row as in RaySet.matrix.
     Idempotent: feeding the output back in reproduces it to 1e-15
-    componentwise.  Raises ZeroVector when the norm is at most 1e-12,
-    FieldMismatch when field is "real" but an imaginary part is nonzero, and
-    ValueError when a component is NaN or infinite.
+    componentwise.  Raises InvalidInput when the norm is at most 1e-12, when
+    field is "real" but an imaginary part is nonzero, or when a component is
+    NaN or infinite.
     """
-    try:
-        v = _canonical_rows(np.reshape(components, (1, -1)), field)[0]
-    except InvariantViolation as exc:
-        raise exc.__cause__ from None  # a lone vector has no index to report
+    v = _canonical_rows(np.reshape(components, (1, -1)), field)[0]
     v.setflags(write=False)
     return v
 
@@ -136,7 +132,7 @@ def _first_copies(overlaps: np.ndarray) -> np.ndarray:
 def build_rayset(vectors, field: str, labels=None) -> RaySet:
     """Canonicalize raw vectors and enforce the ray-set invariants.
 
-    Raises InvariantViolation (with the offending index) on a zero or
+    Raises InvalidInput (with the offending index) on a zero or
     non-finite vector, a dimension mismatch, a field mismatch, or a
     duplicate ray.
     """
@@ -145,7 +141,7 @@ def build_rayset(vectors, field: str, labels=None) -> RaySet:
     except ValueError:  # rows of different lengths
         dim = len(vectors[0])
         k = next(k for k, v in enumerate(vectors) if len(v) != dim)
-        raise InvariantViolation(
+        raise InvalidInput(
             f"ray {k}: dimension {len(vectors[k])} != {dim}", index=k) from None
     V = _canonical_rows(M, field)
     overlaps = np.abs(V.conj() @ V.T)
@@ -154,7 +150,7 @@ def build_rayset(vectors, field: str, labels=None) -> RaySet:
     if copies.size:
         k = int(copies[0])
         j = int(first[k])
-        raise InvariantViolation(
+        raise InvalidInput(
             f"ray {k} duplicates ray {j} (|overlap| = {overlaps[j, k]:.12f})",
             index=k)
     if labels is None:
@@ -162,7 +158,7 @@ def build_rayset(vectors, field: str, labels=None) -> RaySet:
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(V):
-            raise InvariantViolation("labels length differs from ray count")
+            raise InvalidInput("labels length differs from ray count")
     V.setflags(write=False)
     return RaySet(dimension=V.shape[1], field=field, matrix=V, labels=labels)
 
@@ -243,11 +239,11 @@ def three_cubes(phi: float = 0.0) -> RaySet:
     Labels record every (cube, source ray) pair that lands on a given ray,
     joined by "|"; deduplication keeps first occurrences in construction
     order (cube I, then II, then III, each in cube13 order).  A phase that
-    is NaN or infinite raises ValueError.
+    is NaN or infinite raises InvalidInput.
     """
     phi = float(phi)
     if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi!r}")
+        raise InvalidInput(f"phase must be finite, got {phi!r}")
     phi %= 2.0 * math.pi
     field = REAL if phi == 0.0 else COMPLEX
     base = cube13()
@@ -283,7 +279,7 @@ def kcbs5() -> RaySet:
     for k in range(5):
         a = 4.0 * math.pi * k / 5.0
         vecs.append((sin_t * math.cos(a), sin_t * math.sin(a), cos_t))
-    return build_rayset(vecs, REAL, [f"v{k}" for k in range(5)])
+    return build_rayset(vecs, REAL)
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +297,40 @@ def rayset_to_json(rs: RaySet) -> str:
     }, indent=1) + "\n"
 
 
+def _read_json(text: str):
+    """json.loads, with every refusal raised as InvalidInput."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past int()'s digit limit, or arrays nested too deep
+        raise InvalidInput(str(exc)) from exc
+
+
 def load_rayset(text: str) -> RaySet:
     """Read a ray set from JSON text in the rayset_to_json format.
 
     The reader canonicalizes every ray and enforces the ray-set invariants;
-    structural problems raise ParseError, per-ray problems raise
-    InvariantViolation with the offending index.  A component that is true,
-    false or an integer beyond float range is a ParseError naming its ray.
+    every problem raises InvalidInput, with the offending index when it
+    belongs to one ray.  A component that is true, false or an integer beyond
+    float range is refused naming its ray.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    obj = _read_json(text)
     if not isinstance(obj, dict):
-        raise ParseError("top level must be an object")
+        raise InvalidInput("top level must be an object")
     for key in ("dimension", "field", "rays"):
         if key not in obj:
-            raise ParseError(f"missing field {key!r}")
+            raise InvalidInput(f"missing field {key!r}")
     dim = obj["dimension"]
     field = obj["field"]
     if not isinstance(dim, int) or dim < 2:
-        raise ParseError(f"dimension must be an integer >= 2, got {dim!r}")
+        raise InvalidInput(f"dimension must be an integer >= 2, got {dim!r}")
     if field not in (REAL, COMPLEX):  # a tuple: field may be unhashable
-        raise ParseError(f'field must be "real" or "complex", got {field!r}')
+        raise InvalidInput(f'field must be "real" or "complex", got {field!r}')
     raw = obj["rays"]
     if not isinstance(raw, list) or not raw:
-        raise ParseError("rays must be a nonempty array")
+        raise InvalidInput("rays must be a nonempty array")
     bools = "true" in text or "false" in text  # complex() reads them as 1, 0
     vectors = []
     for k, entry in enumerate(raw):
@@ -336,16 +340,16 @@ def load_rayset(text: str) -> RaySet:
                 raise TypeError("a boolean is not a number")
             vec = [complex(re, im) for re, im in entry]
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"ray {k}: entries must be [re, im] pairs "
-                             "of numbers") from exc
+            raise InvalidInput(f"ray {k}: entries must be [re, im] pairs "
+                               "of numbers", index=k) from exc
         if len(vec) != dim:
-            raise InvariantViolation(
+            raise InvalidInput(
                 f"ray {k}: length {len(vec)} != dimension {dim}", index=k)
         vectors.append(vec)
     labels = obj.get("labels")
     if labels is not None and (not isinstance(labels, list)
                                or len(labels) != len(vectors)):
-        raise ParseError("labels must match the number of rays")
+        raise InvalidInput("labels must match the number of rays")
     return build_rayset(vectors, field, labels)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rays import COMPLEX, _check_field
+from .rays import COMPLEX, InvalidInput, _check_field
 
 CHUNK = 1 << 16
 
@@ -26,7 +26,10 @@ def gaussian_rows(rng, n: int, d: int, field: str) -> np.ndarray:
     """n rows of d standard normals; complex rows draw the real parts of
     all rows first, then the imaginary parts."""
     _check_field(field)
-    g = rng.standard_normal((n, d))
+    try:
+        g = rng.standard_normal((n, d))
+    except ValueError as exc:  # d is past numpy's largest dimension
+        raise InvalidInput(str(exc)) from exc
     if field == COMPLEX:
         g = g + 1j * rng.standard_normal((n, d))
     return g
@@ -41,6 +44,6 @@ def chunks(seed: int, total: int, what: str = "samples"):
     """(generator, size) per chunk of a budget: chunk k draws from
     stream_rng(seed, k).  A budget below 1 is refused at call time."""
     if total < 1:
-        raise ValueError(f"{what} must be >= 1")
+        raise InvalidInput(f"{what} must be >= 1")
     return ((stream_rng(seed, k), size)
             for k, size in enumerate(chunk_sizes(total)))

@@ -14,7 +14,7 @@ from ksray import (
     peres24, stream_rng, theta_certificate, three_cubes,
 )
 from ksray import bounds as bounds_mod
-from ksray.bounds import NumericalFailure, TooLarge
+from ksray.bounds import InvalidInput, NumericalFailure
 from ksray.cli import run
 
 SQRT5 = math.sqrt(5.0)
@@ -87,7 +87,7 @@ def test_empty_graph_has_no_theta_or_packing():
 
 
 def test_alpha_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidInput, match="exceeds the guard"):
         independence_number(empty_graph(65, 3))
 
 

@@ -5,10 +5,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import ksray
-from ksray import graph_from_json, load_rayset, operators
+from ksray import bounds, graph_from_json, load_rayset, operators
 from ksray.cli import build_parser, run
 
 
@@ -396,3 +397,114 @@ def test_failed_eigen_residual_exit_code(monkeypatch, capsys):
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("numerical failure: eigen residual")
+
+
+@pytest.mark.parametrize("verb", [["bases"], ["validity", "--field", "real"]])
+def test_dimension_past_numpy_limit_exit_code(capsys, verb):
+    code, out, err = capture(capsys, ["measure", *verb, "--dim", str(2**70),
+                                      "--mc", "1"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_lapack_failure_exit_code(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = capture(capsys, ["bounds", "--set", "kcbs5"])
+    assert (code, out) == (1, "")
+    assert err == "numerical failure: Eigenvalues did not converge\n"
+
+
+def test_internal_bug_is_not_invalid_input(monkeypatch, capsys):
+    """A plain ValueError is a ksray bug: it escapes run, not as exit 2."""
+    def fail(g):
+        raise ValueError("operands could not be broadcast together")
+    monkeypatch.setattr(bounds, "maximal_cliques", fail)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        run(["bounds", "--set", "kcbs5"])
+    assert capsys.readouterr().err == ""
+
+
+def test_argv_fuzz_exits_0_1_or_2(tmp_path, capsys):
+    """Arbitrary argv over the subcommands, their flags and ray-set files
+    (truncated prefixes of a cube13 file, a directory, a missing file, a
+    binary file, an integer past int()'s digit limit and arrays nested past
+    the recursion limit): every run exits 0, 1 or 2, and none ends in a
+    traceback."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = ksray.rayset_to_json(ksray.cube13())
+    prefixes = []
+    for cut in (0, 1, 2, 17, 60, 200, 700, len(text) // 2, len(text) - 3,
+                len(text) - 1, len(text)):
+        path = tmp_path / f"cut{cut}.json"
+        path.write_text(text[:cut], encoding="utf-8")
+        prefixes.append(str(path))
+    broken = [str(tmp_path), str(tmp_path / "missing.json")]
+    for name, data in (("binary", b"\xff\xfe\x00\x81\x9c{"),
+                       ("huge", b'{"dimension": 1' + b"0" * 5000 + b"}"),
+                       ("deep", b"[" * 5000)):
+        (tmp_path / f"{name}.json").write_bytes(data)
+        broken.append(str(tmp_path / f"{name}.json"))
+    # integers stay at most 300, so that no accepted run is slow
+    ints = st.integers(-5, 300).map(str) | st.sampled_from(["x", "1.5", ""])
+    entries = st.lists(st.sampled_from(["0", "1", "2", "-1", "x", "", "nan",
+                                        "1j", "1e999"]), min_size=1,
+                       max_size=6).map(",".join)
+    values = {
+        "--set": st.sampled_from([*ksray.CATALOGS, "three_cubes", "nosuch"]),
+        "--phase": st.sampled_from(["0", "0.3", "2", "nan", "-inf", "x"]),
+        "--file": st.sampled_from(prefixes) | st.sampled_from(broken),
+        "--strategy": st.sampled_from(["classical", "conspiratorial",
+                                       "quantum", "x"]),
+        "--trials": ints, "--seed": ints, "--dim": ints, "--mc": ints,
+        "--assignment": entries, "--state": entries,
+        "--field": st.sampled_from(["real", "complex", "Real"]),
+        "--scan": st.tuples(ints, ints).map(":".join) | ints,
+    }
+
+    def option(flag):
+        if flag == "--json":
+            return st.just([flag])
+        return st.tuples(st.just(flag), values[flag]).map(list)
+
+    def command(words, required=(), optional=()):
+        opts = (st.lists(st.sampled_from(optional).flatmap(option),
+                         max_size=3) if optional else st.just([]))
+        return st.tuples(st.tuples(*map(option, required)), opts).map(
+            lambda t: [*words, *(w for pair in t[0] + tuple(t[1])
+                                 for w in pair)])
+
+    sets = ("--set", "--phase", "--file")
+    argvs = st.one_of(
+        st.sampled_from([[], ["nosuch"], ["measure"], ["catalog", "list"]]),
+        st.tuples(st.lists(values["--set"], max_size=1),
+                  command(["catalog", "emit"], (), ("--phase", "--file"))
+                  ).map(lambda t: t[1][:2] + t[0] + t[1][2:]),
+        *(command([verb], (), sets) for verb in ("graph", "color",
+                                                 "spectrum")),
+        command(["bounds"], (), sets + ("--json",)),
+        command(["platter"], ("--strategy", "--trials", "--assignment",
+                              "--state"), ("--seed",)),
+        command(["measure", "fraction"], ("--field",),
+                ("--dim", "--mc", "--seed", "--json", "--scan")),
+        command(["measure", "bases"], ("--dim", "--mc"),
+                ("--seed", "--json")),
+        command(["measure", "validity"], ("--field", "--dim", "--mc"),
+                ("--seed", "--json")),
+        command(["measure", "separable"], ("--mc",), ("--seed", "--json")),
+    )
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None,
+                         deadline=None)
+    @hypothesis.given(argvs)
+    def check(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse refuses argv this way
+            code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in capsys.readouterr().err
+
+    check()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ksray import (
-    Color, ExhaustionProof, ParityCertificate, TooLarge, ceg18,
+    Color, ExhaustionProof, InvalidInput, ParityCertificate, ceg18,
     complete_bases, complete_graph, count_colorings, cube13, empty_graph,
     from_edges, kcbs5, ks_solve, ortho_graph, peres24, stream_rng,
     three_cubes, verify_coloring,
@@ -155,7 +155,7 @@ def test_count_against_verified_bruteforce(k):
 
 
 def test_count_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidInput, match="exceeds the guard"):
         count_colorings(empty_graph(37, 3), [])
 
 
@@ -191,4 +191,4 @@ def test_pinned_counts():
 def test_one_too_large_class():
     import ksray
     from ksray import bounds, kscolor
-    assert ksray.TooLarge is kscolor.TooLarge is bounds.TooLarge
+    assert ksray.InvalidInput is kscolor.InvalidInput is bounds.InvalidInput

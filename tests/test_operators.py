@@ -5,7 +5,7 @@ import pytest
 
 from ksray import operators
 from ksray import (
-    ClassicalStrategy, ConspiratorialStrategy, InvalidAssignment,
+    ClassicalStrategy, ConspiratorialStrategy, InvalidInput,
     QuantumStrategy, build_rayset, ceg18, cube13, eigen_max,
     equal_weight_povm_check, kcbs5, peres24, platter_simulate,
     projector_sum, stream_rng, three_cubes, NumericalFailure,
@@ -94,9 +94,9 @@ def test_random_states_below_max_eigenvalue():
 # --- platter -----------------------------------------------------------------
 
 def test_platter_rejects_adjacent_stones():
-    with pytest.raises(InvalidAssignment):
+    with pytest.raises(InvalidInput, match="adjacent stones"):
         ClassicalStrategy((1, 1, 0, 0, 0))
-    with pytest.raises(InvalidAssignment):
+    with pytest.raises(InvalidInput, match="adjacent stones"):
         ClassicalStrategy((1, 0, 0, 0, 1))  # cups 4 and 0 share an edge
 
 
