@@ -8,9 +8,8 @@ from .rays import (
     InvalidInput, REAL, COMPLEX,
 )
 from .ortho import (
-    OrthoGraph, ortho_graph, from_edges, cycle_graph, complete_graph,
-    empty_graph, maximal_cliques, complete_bases, basis_incidence,
-    realize, unbiased_basis_triples, graph_to_json, graph_from_json,
+    OrthoGraph, ortho_graph, from_edges, cycle_graph, maximal_cliques,
+    complete_bases, realize, graph_to_json,
 )
 from .kscolor import (
     Color, KSVerdict, ParityCertificate, ExhaustionProof,

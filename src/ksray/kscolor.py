@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .ortho import (InvalidInput, OrthoGraph, _bits, _neighbor_masks,
-                    basis_incidence, complete_bases)
+                    complete_bases)
 
 
 class Color(enum.Enum):
@@ -125,7 +125,10 @@ class _Searcher:
 
 
 def _parity_certificate(bases, n: int) -> ParityCertificate | None:
-    counts = basis_incidence(bases, n)
+    counts = [0] * n
+    for b in bases:
+        for v in b:
+            counts[v] += 1
     if len(bases) % 2 == 1 and all(c % 2 == 0 for c in counts):
         return ParityCertificate(basis_count=len(bases),
                                  incidence_counts=tuple(counts))

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho import _check_dim
-from .rays import (COMPLEX, REAL, InvalidInput, _canonical_rows, _check_field,
-                   canonicalize)
+from .rays import (COMPLEX, REAL, InvalidInput, _canonical_rows, _check_dim,
+                   _check_field, canonicalize)
 from .rng import chunks, gaussian_rows
 
 BOUNDARY_TOL = 1e-12  # a weight this close to 1/2 or 1/d is on the boundary

@@ -8,28 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import (REAL, InvalidInput, NumericalFailure, RaySet, _check_field,
-                   _read_json, build_rayset)
+from .rays import (REAL, InvalidInput, NumericalFailure, RaySet, _check_dim,
+                   _check_field, _is_int, build_rayset)
 from .rng import gaussian_rows, stream_rng
 
 
 ORTHO_TOL = 1e-9  # |<r_i, r_j>| below this is an edge
 MAX_STEPS = 200  # Levenberg-Marquardt steps per realize start
 RESTARTS = 8  # realize starts before NumericalFailure
-UNBIASED_TOL = 1e-12  # on |<e,f>|^2 - 1/d in unbiased_basis_triples
-
-
-def _is_int(x) -> bool:
-    """An int or numpy integer; bool is an int too, and is rejected by type."""
-    return isinstance(x, (int, np.integer)) and type(x) is not bool
-
-
-def _check_dim(d, name: str) -> None:
-    """Refuse a dimension d that is not an integer >= 2, naming it name."""
-    if not _is_int(d):
-        raise InvalidInput(f"{name} must be an integer, got {d!r}")
-    if d < 2:
-        raise InvalidInput(f"{name} must be >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +88,6 @@ def cycle_graph(n: int) -> OrthoGraph:
     return from_edges(n, [(k, (k + 1) % n) for k in range(n)], 3)
 
 
-def complete_graph(n: int, dimension: int) -> OrthoGraph:
-    return from_edges(n, itertools.combinations(range(n), 2), dimension)
-
-
-def empty_graph(n: int, dimension: int) -> OrthoGraph:
-    return from_edges(n, [], dimension)
-
-
 # ---------------------------------------------------------------------------
 # cliques and bases
 
@@ -164,14 +142,6 @@ def complete_bases(g: OrthoGraph) -> list[tuple[int, ...]]:
             for sub in itertools.combinations(clique, d):
                 seen.add(sub)
     return sorted(seen)
-
-
-def basis_incidence(bases, n: int) -> list[int]:
-    counts = [0] * n
-    for b in bases:
-        for v in b:
-            counts[v] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -257,63 +227,6 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
 
 
 # ---------------------------------------------------------------------------
-# unbiased basis partition (Peres set structure)
-
-
-def unbiased_basis_triples(rs: RaySet):
-    """Partition a ray set into bases that group into two unbiased triples.
-
-    Searches the exact covers of the vertex set by complete bases and returns
-    the first cover splitting into two triples in which every inter-basis
-    overlap satisfies |<e,f>|^2 = 1/d within UNBIASED_TOL.  Returns (bases,
-    triple_a, triple_b) with triples as index tuples into bases, or None
-    when no cover works.
-    """
-    g = ortho_graph(rs)
-    bases = complete_bases(g)
-    n, d = len(rs), rs.dimension
-    if n % d != 0:
-        return None
-    M = rs.matrix
-    target = 1.0 / d
-
-    def unbiased(b1, b2) -> bool:
-        ov = np.abs(M[list(b1)].conj() @ M[list(b2)].T) ** 2
-        return bool(np.all(np.abs(ov - target) < UNBIASED_TOL))
-
-    result = None
-    full = (1 << n) - 1
-    masks = [sum(1 << v for v in b) for b in bases]
-
-    def cover(used: int, chosen: list[tuple[int, ...]]):
-        nonlocal result
-        if result is not None:
-            return
-        if used == full:
-            k = len(chosen)
-            rel = [[unbiased(chosen[a], chosen[b]) for b in range(k)]
-                   for a in range(k)]
-            for tri in itertools.combinations(range(k), k // 2):
-                rest = tuple(i for i in range(k) if i not in tri)
-                if all(rel[a][b] for a, b in itertools.combinations(tri, 2)) \
-                        and all(rel[a][b] for a, b in itertools.combinations(rest, 2)):
-                    result = (list(chosen), tri, rest)
-                    return
-            return
-        lo = next(_bits(full & ~used))  # the lowest uncovered vertex
-        for b, mask in zip(bases, masks):
-            if mask >> lo & 1 and not mask & used:
-                chosen.append(b)
-                cover(used | mask, chosen)
-                chosen.pop()
-                if result is not None:
-                    return
-
-    cover(0, [])
-    return result
-
-
-# ---------------------------------------------------------------------------
 # graph exchange format
 
 
@@ -321,16 +234,3 @@ def graph_to_json(g: OrthoGraph) -> str:
     obj = {"n": g.n, "dimension": g.dimension,
            "edges": [[i, j] for i, j in g.edges]}
     return json.dumps(obj, sort_keys=True) + "\n"
-
-
-def graph_from_json(text: str) -> OrthoGraph:
-    """Read the graph_to_json format; malformed input raises InvalidInput."""
-    obj = _read_json(text)
-    if not isinstance(obj, dict):
-        raise InvalidInput("graph JSON must be an object")
-    for key in ("n", "edges", "dimension"):
-        if key not in obj:
-            raise InvalidInput(f"graph JSON is missing field {key!r}")
-    if not isinstance(obj["edges"], list):
-        raise InvalidInput("edges must be a list of vertex pairs")
-    return from_edges(obj["n"], obj["edges"], obj["dimension"])

@@ -48,6 +48,19 @@ def _check_field(field) -> None:
         raise InvalidInput(f"unknown field {field!r}")
 
 
+def _is_int(x) -> bool:
+    """An int or numpy integer; bool is an int too, and is rejected by type."""
+    return isinstance(x, (int, np.integer)) and type(x) is not bool
+
+
+def _check_dim(d, name: str) -> None:
+    """Refuse a dimension d that is not an integer >= 2, naming it name."""
+    if not _is_int(d):
+        raise InvalidInput(f"{name} must be an integer, got {d!r}")
+    if d < 2:
+        raise InvalidInput(f"{name} must be >= 2")
+
+
 def _canonical_rows(M, field: str) -> np.ndarray:
     """Canonical form of each row of an (n, d) array, as a new complex array.
 
@@ -324,10 +337,8 @@ def load_rayset(text: str) -> RaySet:
             raise InvalidInput(f"missing field {key!r}")
     dim = obj["dimension"]
     field = obj["field"]
-    if not isinstance(dim, int) or dim < 2:
-        raise InvalidInput(f"dimension must be an integer >= 2, got {dim!r}")
-    if field not in (REAL, COMPLEX):  # a tuple: field may be unhashable
-        raise InvalidInput(f'field must be "real" or "complex", got {field!r}')
+    _check_dim(dim, "dimension")
+    _check_field(field)
     raw = obj["rays"]
     if not isinstance(raw, list) or not raw:
         raise InvalidInput("rays must be a nonempty array")

@@ -8,8 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from ksray import (
-    bounds_report, ceg18, complete_graph, cube13,
-    cycle_graph, empty_graph, fractional_packing, from_edges,
+    bounds_report, ceg18, cube13, cycle_graph, fractional_packing, from_edges,
     independence_number, kcbs5, maximal_cliques, ortho_graph,
     peres24, stream_rng, theta_certificate, three_cubes,
 )
@@ -39,7 +38,8 @@ def test_alpha_c5():
 
 
 def test_alpha_k4():
-    alpha, _ = independence_number(complete_graph(4, 4))
+    k4 = from_edges(4, itertools.combinations(range(4), 2), 4)
+    alpha, _ = independence_number(k4)
     assert alpha == 1
 
 
@@ -79,7 +79,7 @@ def test_alpha_against_networkx(n, p, isolated):
 
 
 def test_empty_graph_has_no_theta_or_packing():
-    g = empty_graph(0, 3)
+    g = from_edges(0, [], 3)
     assert independence_number(g) == (0, ())
     for bound in (theta_certificate, fractional_packing, bounds_report):
         with pytest.raises(ValueError, match="no vertices"):
@@ -88,7 +88,7 @@ def test_empty_graph_has_no_theta_or_packing():
 
 def test_alpha_guard():
     with pytest.raises(InvalidInput, match="exceeds the guard"):
-        independence_number(empty_graph(65, 3))
+        independence_number(from_edges(65, [], 3))
 
 
 # --- Lovasz theta -----------------------------------------------------------
@@ -99,11 +99,12 @@ def test_theta_c5():
 
 def test_theta_complete_graphs():
     for n in (2, 4, 6):
-        assert abs(theta_certificate(complete_graph(n, n)).value - 1.0) < 1e-5
+        kn = from_edges(n, itertools.combinations(range(n), 2), n)
+        assert abs(theta_certificate(kn).value - 1.0) < 1e-5
 
 
 def test_theta_edgeless():
-    assert abs(theta_certificate(empty_graph(5, 3)).value - 5.0) < 1e-5
+    assert abs(theta_certificate(from_edges(5, [], 3)).value - 5.0) < 1e-5
 
 
 def test_theta_certified_gap():
@@ -201,12 +202,13 @@ def test_packing_c5():
 
 
 def test_packing_k4():
-    value, _ = fractional_packing(complete_graph(4, 4))
+    k4 = from_edges(4, itertools.combinations(range(4), 2), 4)
+    value, _ = fractional_packing(k4)
     assert abs(value - 1.0) < 1e-9
 
 
 def test_packing_edgeless():
-    value, _ = fractional_packing(empty_graph(3, 3))
+    value, _ = fractional_packing(from_edges(3, [], 3))
     assert abs(value - 3.0) < 1e-9
 
 
@@ -281,7 +283,8 @@ def test_bounds_report_c5():
 
 
 def test_bounds_report_k3():
-    rep = bounds_report(complete_graph(3, 3))
+    k3 = from_edges(3, itertools.combinations(range(3), 2), 3)
+    rep = bounds_report(k3)
     assert rep.alpha == 1
     assert abs(rep.theta - 1.0) < 1e-5
     assert abs(rep.alpha_star - 1.0) < 1e-9

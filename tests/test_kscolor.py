@@ -6,9 +6,8 @@ import pytest
 
 from ksray import (
     Color, ExhaustionProof, InvalidInput, ParityCertificate, ceg18,
-    complete_bases, complete_graph, count_colorings, cube13, empty_graph,
-    from_edges, kcbs5, ks_solve, ortho_graph, peres24, stream_rng,
-    three_cubes, verify_coloring,
+    complete_bases, count_colorings, cube13, from_edges, kcbs5, ks_solve,
+    ortho_graph, peres24, stream_rng, three_cubes, verify_coloring,
 )
 
 R, G = Color.RED, Color.GREEN
@@ -29,13 +28,13 @@ def brute_count(g, bases):
 # --- verify_coloring --------------------------------------------------------
 
 def test_verify_triangle_one_red():
-    g = complete_graph(3, 3)
+    g = from_edges(3, itertools.combinations(range(3), 2), 3)
     ok, violation = verify_coloring(g, [(0, 1, 2)], (R, G, G))
     assert ok and violation is None
 
 
 def test_verify_triangle_zero_red():
-    g = complete_graph(3, 3)
+    g = from_edges(3, itertools.combinations(range(3), 2), 3)
     ok, violation = verify_coloring(g, [(0, 1, 2)], (G, G, G))
     assert not ok and violation == ("basis", 0)
 
@@ -83,7 +82,7 @@ def test_peres24_uncolorable_by_exhaustion():
 
 
 def test_single_triangle_basis():
-    g = complete_graph(3, 3)
+    g = from_edges(3, itertools.combinations(range(3), 2), 3)
     verdict = ks_solve(g, [(0, 1, 2)])
     assert verdict.colorable
     assert sum(1 for c in verdict.witness if c is R) == 1
@@ -115,11 +114,12 @@ def test_parity_certificate_rejects_bad_arithmetic():
 # --- count_colorings --------------------------------------------------------
 
 def test_count_single_triangle():
-    assert count_colorings(complete_graph(3, 3), [(0, 1, 2)]) == 3
+    g = from_edges(3, itertools.combinations(range(3), 2), 3)
+    assert count_colorings(g, [(0, 1, 2)]) == 3
 
 
 def test_count_two_free_vertices():
-    assert count_colorings(empty_graph(2, 3), []) == 4
+    assert count_colorings(from_edges(2, [], 3), []) == 4
 
 
 def test_count_ceg18_zero():
@@ -156,7 +156,7 @@ def test_count_against_verified_bruteforce(k):
 
 def test_count_guard():
     with pytest.raises(InvalidInput, match="exceeds the guard"):
-        count_colorings(empty_graph(37, 3), [])
+        count_colorings(from_edges(37, [], 3), [])
 
 
 def test_solve_iff_count_positive():

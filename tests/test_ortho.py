@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from ksray import (
-    NumericalFailure, ceg18, complete_bases, complete_graph,
-    cube13, cycle_graph, from_edges, graph_from_json, graph_to_json, kcbs5,
-    maximal_cliques, ortho_graph, peres24, realize, stream_rng, three_cubes,
-    unbiased_basis_triples, build_rayset, ks_solve,
+    CATALOGS, NumericalFailure, ceg18, complete_bases, cube13, cycle_graph,
+    from_edges, graph_to_json, kcbs5, maximal_cliques, ortho_graph, peres24,
+    realize, stream_rng, three_cubes, build_rayset, ks_solve,
 )
+from ksray.cli import run
 
 
 def brute_maximal_cliques(g):
@@ -44,7 +44,8 @@ def test_ortho_graph_kcbs_is_c5():
 
 
 def test_maximal_cliques_triangle():
-    assert maximal_cliques(complete_graph(3, 3)) == [(0, 1, 2)]
+    triangle = from_edges(3, itertools.combinations(range(3), 2), 3)
+    assert maximal_cliques(triangle) == [(0, 1, 2)]
 
 
 def test_maximal_cliques_c5():
@@ -128,18 +129,32 @@ def test_complete_bases_are_exactly_the_full_size_cliques():
         assert complete_bases(g) == brute
 
 
+# Peres's six bases of peres24, by label, in two unbiased triples: the
+# standard basis with the even and odd sign classes of (1, +-1, +-1, +-1),
+# and the three pairings of the two-entry rays
+PERES_TRIPLES = (
+    (("1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1"),
+     ("1,1,1,1", "1,1,-1,-1", "1,-1,1,-1", "1,-1,-1,1"),
+     ("1,-1,-1,-1", "1,-1,1,1", "1,1,-1,1", "1,1,1,-1")),
+    (("1,1,0,0", "1,-1,0,0", "0,0,1,1", "0,0,1,-1"),
+     ("1,0,1,0", "1,0,-1,0", "0,1,0,1", "0,1,0,-1"),
+     ("1,0,0,1", "1,0,0,-1", "0,1,1,0", "0,1,-1,0")),
+)
+
+
 def test_peres24_unbiased_triples():
     rs = peres24()
-    found = unbiased_basis_triples(rs)
-    assert found is not None
-    bases, tri_a, tri_b = found
-    assert len(bases) == 6 and sorted(tri_a + tri_b) == list(range(6))
-    covered = sorted(v for b in bases for v in b)
+    index = {label: k for k, label in enumerate(rs.labels)}
+    triples = [[tuple(sorted(index[s] for s in basis)) for basis in triple]
+               for triple in PERES_TRIPLES]
+    bases = complete_bases(ortho_graph(rs))
+    assert all(b in bases for triple in triples for b in triple)
+    covered = sorted(v for triple in triples for b in triple for v in b)
     assert covered == list(range(24))
     M = rs.matrix
-    for tri in (tri_a, tri_b):
-        for a, b in itertools.combinations(tri, 2):
-            ov = np.abs(M[list(bases[a])].conj() @ M[list(bases[b])].T) ** 2
+    for triple in triples:
+        for a, b in itertools.combinations(triple, 2):
+            ov = np.abs(M[list(a)].conj() @ M[list(b)].T) ** 2
             assert np.abs(ov - 0.25).max() < 1e-12
 
 
@@ -164,7 +179,8 @@ def test_realize_c5_in_2d_fails():
 
 def test_realize_k4_in_3d_fails():
     with pytest.raises(NumericalFailure):
-        realize(complete_graph(4, dimension=4), 3, seed=5)
+        realize(from_edges(4, itertools.combinations(range(4), 2), 4), 3,
+                seed=5)
 
 
 def test_realize_cube13_graph():
@@ -213,7 +229,7 @@ def test_realize_failure_is_a_numerical_failure():
 @pytest.mark.parametrize("make", [
     lambda: from_edges(3, [(-1, 0)], 3),
     lambda: from_edges(3, [(0, 3)], 3),
-    lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [[0, 5]]}'),
+    lambda: from_edges(3, [(0, 5)], 3),
 ])
 def test_edge_endpoint_outside_vertex_range(make):
     with pytest.raises(ValueError, match="outside range"):
@@ -223,36 +239,21 @@ def test_edge_endpoint_outside_vertex_range(make):
 @pytest.mark.parametrize("edge,shown", [("[0.5, 1]", "(0.5, 1)"),
                                         ("[true, 2]", "(True, 2)")])
 def test_edge_endpoint_not_an_integer(edge, shown):
-    text = f'{{"n": 3, "dimension": 3, "edges": [{edge}]}}'
+    # the edge as JSON spells it: a float or a boolean endpoint
     with pytest.raises(ValueError,
                        match=re.escape(f"edge {shown} has a non-integer")):
-        graph_from_json(text)
+        from_edges(3, [json.loads(edge)], 3)
 
 
 @pytest.mark.parametrize("make,field", [
     *[(functools.partial(from_edges, 3, [(0, 1)], d), "dimension must")
       for d in (1, 0, -3, 2.0, True, "3", None)],
-    (lambda: graph_from_json("null"), "object"),
-    (lambda: graph_from_json("[1, 2]"), "object"),
-    (lambda: graph_from_json('{"dimension": 3, "edges": []}'), "'n'"),
-    (lambda: graph_from_json('{"n": 3, "dimension": 3}'), "'edges'"),
-    (lambda: graph_from_json('{"n": 3, "edges": []}'), "'dimension'"),
-    (lambda: graph_from_json('{"n": "3", "dimension": 3, "edges": []}'),
-     "n must"),
-    (lambda: graph_from_json('{"n": -1, "dimension": 3, "edges": []}'),
-     "n must"),
-    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": true}'),
-     "edges must"),
-    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": ""}'),
-     "edges must"),
-    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [0]}'),
-     "edges must"),
-    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [[0, 1, 2]]}'),
-     "edges must"),
-    (lambda: graph_from_json('{"n": 3, "dimension": 3, "edges": [["0", 1]]}'),
+    (lambda: from_edges("3", [], 3), "n must"),
+    (lambda: from_edges(-1, [], 3), "n must"),
+    (lambda: from_edges(3, [0], 3), "edges must"),
+    (lambda: from_edges(3, [(0, 1, 2)], 3), "edges must"),
+    (lambda: from_edges(3, [("0", 1)], 3),
      "edge ('0', 1) has a non-integer endpoint"),
-    (lambda: graph_from_json('{"n": 3, "dimension": 1, "edges": [[0, 1]]}'),
-     "dimension must"),
     (lambda: from_edges(3.0, [], 3), "n must"),
     (lambda: from_edges(3, True, 3), "edges must"),
     (lambda: from_edges(3, [(0,)], 3), "edges must"),
@@ -264,45 +265,15 @@ def test_malformed_graph_input_is_a_value_error(make, field):
 
 # --- exchange format --------------------------------------------------------
 
-def test_graph_json_roundtrip():
-    g = ortho_graph(cube13())
-    back = graph_from_json(graph_to_json(g))
-    assert back.n == g.n and back.dimension == g.dimension
-    assert np.array_equal(back.adjacency, g.adjacency)
-
-
-def test_graph_from_json_fuzz():
-    """Arbitrary JSON over the keys n, edges and dimension: only ValueError
-    escapes, and an accepted graph has an integer dimension >= 2 and reads
-    back from its own JSON."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    keys = st.sampled_from(("n", "edges", "dimension"))
-    # integers stay small: a valid huge n asks for an n-by-n matrix
-    small = st.integers(-1, 6)
-    scalars = (st.none() | st.booleans() | small
-               | st.floats(allow_nan=False, allow_infinity=False)
-               | st.text(max_size=2))
-    junk = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
-                        | st.dictionaries(keys, inner, max_size=3),
-                        max_leaves=6)
-    pairs = st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2,
-                              unique=True), max_size=5)
-    fields = {"n": small, "edges": pairs, "dimension": small}
-    documents = junk | st.fixed_dictionaries(fields) | st.fixed_dictionaries(
-        {}, optional={key: value | junk for key, value in fields.items()})
-
-    @hypothesis.settings(max_examples=300, derandomize=True, database=None,
-                         deadline=None)
-    @hypothesis.given(documents)
-    def check(obj):
-        try:
-            g = graph_from_json(json.dumps(obj))
-        except ValueError:
-            return
-        assert type(g.dimension) is int and g.dimension >= 2
-        back = graph_from_json(graph_to_json(g))
-        assert back.dimension == g.dimension
-        assert np.array_equal(back.adjacency, g.adjacency)
-
-    check()
+@pytest.mark.parametrize("name", CATALOGS)
+def test_graph_json_matches_ortho_graph(name, capsys):
+    """graph_to_json holds n, dimension and the edges i < j of the
+    adjacency, and `ksray graph --set NAME` prints exactly that text."""
+    g = ortho_graph(CATALOGS[name]())
+    text = graph_to_json(g)
+    edges = [[i, j] for i in range(g.n) for j in range(i + 1, g.n)
+             if g.adjacency[i, j]]
+    assert json.loads(text) == {"n": g.n, "dimension": g.dimension,
+                                "edges": edges}
+    assert run(["graph", "--set", name]) == 0
+    assert capsys.readouterr().out == text

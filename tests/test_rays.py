@@ -298,7 +298,7 @@ def test_load_rayset_text_and_paths(tmp_path):
 def test_load_rayset_bad_field():
     text = json.dumps({"dimension": 2, "field": "rational",
                        "rays": [[[1, 0], [0, 0]]]})
-    with pytest.raises(InvalidInput, match='field must be "real"'):
+    with pytest.raises(InvalidInput, match="unknown field 'rational'"):
         load_rayset(text)
 
 
