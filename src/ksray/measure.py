@@ -8,6 +8,16 @@ set has measure zero anyway.  A weight within BOUNDARY_TOL of 1/2 or 1/d
 counts as on the boundary, so a ray exactly on it stays Uncolored when
 rounding moves its computed weight by an ulp.
 
+The Monte Carlo fraction draws the statistic, not the ray.  A uniform ray
+is a normalized Gaussian vector g, so p_0 = |g_0|^2 / (|g_0|^2 + rest),
+where |g_0|^2 is a sum of 2a squared standard normals and rest an
+independent sum of 2a(d-1), with a = 1/2 in the real field and a = 1 in the
+complex one.  Half a chi-square with k degrees of freedom is Gamma(k/2) and
+the factor 2 cancels in the ratio, so two independent gamma variates,
+G_a / (G_a + G_a(d-1)), give p_0 exactly in law: two draws per sample at
+any d.  The split is a norm split, not the Beta law of the closed forms, so
+the estimate still checks them independently.
+
 The basis measures classify each member of a Haar basis by its first
 coordinate.  Those d first coordinates are the first row of a Haar unitary,
 which by transpose invariance is itself a uniform ray, so the Monte Carlo
@@ -26,9 +36,18 @@ import numpy as np
 
 from .rays import (COMPLEX, REAL, InvalidInput, _canonical_rows, _check_dim,
                    _check_field, canonicalize)
-from .rng import chunks, gaussian_rows
+from .rng import CHUNK, chunks, gaussian_rows
 
 BOUNDARY_TOL = 1e-12  # a weight this close to 1/2 or 1/d is on the boundary
+DIM_GUARD = 10 ** 6  # largest dimension: the real closed form is O(d)
+ROW_WIDTH = 64  # Gaussian rows wider than this shrink their chunk
+
+
+def _check_guard(d, name: str) -> None:
+    """_check_dim, then refuse a dimension above DIM_GUARD."""
+    _check_dim(d, name)
+    if d > DIM_GUARD:
+        raise InvalidInput(f"{name} exceeds the guard of {DIM_GUARD}")
 
 
 class Region(enum.Enum):
@@ -44,7 +63,7 @@ class RegionColoring:
 
     def __post_init__(self):
         _check_field(self.field)
-        _check_dim(self.dimension, "dimension")
+        _check_guard(self.dimension, "dimension")
 
     def masks(self, p):
         """(Red, Green) masks of weights p = |x_0|^2, boundary band excluded."""
@@ -72,7 +91,7 @@ def classify(rc: RegionColoring, ray) -> Region:
 
 def colored_fraction_complex(N: int) -> float:
     """1 - (1 - 1/N)^(N-1) + (1/2)^(N-1), the cap plus belt volume."""
-    _check_dim(N, "N")
+    _check_guard(N, "N")
     return 1.0 - (1.0 - 1.0 / N) ** (N - 1) + 0.5 ** (N - 1)
 
 
@@ -104,7 +123,7 @@ def colored_fraction_real(d: int) -> float:
     incomplete beta values; their recurrence terms are summed with one
     correctly rounded math.fsum, in O(d) time.
     """
-    _check_dim(d, "d")
+    _check_guard(d, "d")
     b = (d - 1) / 2.0
     return math.fsum(itertools.chain(
         [1.0], (-t for t in _betainc_half_terms(b, 0.5)),
@@ -138,35 +157,40 @@ def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
 # Monte Carlo fractions and validity checks
 
 
-def _first_weight(g: np.ndarray) -> np.ndarray:
-    """p_0 = |g_0|^2 / sum |g_j|^2 of each unnormalized Gaussian row; equal
-    to _weights(g)[:, 0] bit for bit, without computing the other columns."""
-    return np.abs(g[:, 0]) ** 2 / np.sum(np.abs(g) ** 2, axis=1)
-
-
 def _weights(g: np.ndarray) -> np.ndarray:
     """p_j = |g_j|^2 / sum |g_j|^2 of every coordinate of Gaussian rows."""
     p = np.abs(g) ** 2
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _region_masks(field: str, d: int, samples: int, seed: int, weights):
-    """(Red, Green) masks of weights(g) for the Gaussian rows g of each chunk.
-
-    The budget is checked before the coloring, so a bad budget is reported
-    first.
+def _region_masks(field: str, d: int, samples: int, seed: int):
+    """(Red, Green) masks of the coordinate weights of each chunk's Gaussian
+    rows.  Above d = ROW_WIDTH a chunk holds CHUNK * ROW_WIDTH // d rows, so
+    no chunk draws more than CHUNK * ROW_WIDTH normals per field part.
     """
-    parts = chunks(seed, samples)
+    chunks(seed, samples)  # a bad budget is reported before the coloring
     rc = RegionColoring(field=field, dimension=d)
-    for rng, size in parts:
-        yield rc.masks(weights(gaussian_rows(rng, size, d, field)))
+    rows = CHUNK * ROW_WIDTH // max(d, ROW_WIDTH)
+    for rng, size in chunks(seed, samples, rows=rows):
+        yield rc.masks(_weights(gaussian_rows(rng, size, d, field)))
 
 
 def mc_colored_fraction(field: str, d: int, samples: int,
                         seed: int) -> MCEstimate:
-    """Fraction of sampled rays that land in the cap or the belt."""
+    """Fraction of uniform rays that land in the cap or the belt.
+
+    Each sample draws only the weight p_0 it classifies, as two gamma
+    variates: p_0 = G_a / (G_a + G_a(d-1)) with a = 1/2 in the real field
+    and a = 1 in the complex one (see the module docstring).
+    """
+    parts = chunks(seed, samples)
+    rc = RegionColoring(field=field, dimension=d)
+    a = 0.5 if field == REAL else 1.0
     colored = 0
-    for red, green in _region_masks(field, d, samples, seed, _first_weight):
+    for rng, size in parts:
+        head = rng.standard_gamma(a, size)
+        rest = rng.standard_gamma(a * (d - 1), size)
+        red, green = rc.masks(head / (head + rest))
         colored += int((red | green).sum())
     return _proportion(colored, samples, seed)
 
@@ -185,7 +209,7 @@ def region_validity_mc(field: str, d: int, samples: int,
     """
     both_red = 0
     all_green = 0
-    for red, green in _region_masks(field, d, samples, seed, _weights):
+    for red, green in _region_masks(field, d, samples, seed):
         reds = red.sum(axis=1)
         both_red += int((reds * (reds - 1) // 2).sum())
         all_green += int(green.all(axis=1).sum())
@@ -203,7 +227,7 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     """
     _check_dim(d, "d")
     full = 0
-    for red, green in _region_masks(REAL, d, samples, seed, _weights):
+    for red, green in _region_masks(REAL, d, samples, seed):
         fully = (red | green).all(axis=1)
         if not np.all(red[fully].sum(axis=1) == 1):
             raise AssertionError("fully colored basis without exactly one Red")

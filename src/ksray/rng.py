@@ -40,10 +40,11 @@ def chunk_sizes(total: int, chunk: int = CHUNK):
     return [min(chunk, total - start) for start in range(0, total, chunk)]
 
 
-def chunks(seed: int, total: int, what: str = "samples"):
-    """(generator, size) per chunk of a budget: chunk k draws from
-    stream_rng(seed, k).  A budget below 1 is refused at call time."""
+def chunks(seed: int, total: int, what: str = "samples", rows: int = CHUNK):
+    """(generator, size) per chunk of at most rows draws of a budget: chunk k
+    draws from stream_rng(seed, k).  A budget below 1 is refused at call
+    time."""
     if total < 1:
         raise InvalidInput(f"{what} must be >= 1")
     return ((stream_rng(seed, k), size)
-            for k, size in enumerate(chunk_sizes(total)))
+            for k, size in enumerate(chunk_sizes(total, rows)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ksray
-from ksray import bounds, load_rayset, operators
+from ksray import bounds, load_rayset, measure, operators
 from ksray.cli import build_parser, run
 
 
@@ -167,11 +167,11 @@ RECORDS = [  # (command line, exact stdout), text and --json forms
      '"packing_weights": [0.5, 0.5, 0.5, 0.5, 0.5], '
      '"theta": 2.2360679774894465, "theta_gap": 3.3727687309692556e-11}\n'),
     ("measure fraction --field real --dim 4 --mc 3000 --seed 2",
-     "closed form: 0.79068789486\nvalue: 0.782666666667 "
-     "stderr: 0.00752993040153 samples: 3000 seed: 2\n"),
+     "closed form: 0.79068789486\nvalue: 0.782333333333 "
+     "stderr: 0.00753409779799 samples: 3000 seed: 2\n"),
     ("measure fraction --field real --dim 4 --mc 3000 --seed 2 --json",
      '{"closed_form": 0.7906878948604386, "samples": 3000, "seed": 2, '
-     '"stderr": 0.00752993040152775, "value": 0.7826666666666666}\n'),
+     '"stderr": 0.007534097797986806, "value": 0.7823333333333333}\n'),
     ("measure fraction --field real --scan 2:5",
      "dimension,fraction\n2,1\n3,0.870243488003\n4,0.79068789486\n"
      "5,0.742215557217\n"),
@@ -405,6 +405,20 @@ def test_dimension_past_numpy_limit_exit_code(capsys, verb):
                                       "--mc", "1"])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,name", [
+    ("measure bases --dim 10000000000000 --mc 1", "dimension"),
+    ("measure fraction --field complex --dim 1" + "0" * 400, "N"),
+    ("measure fraction --field real --dim 100000000000", "d"),
+])
+def test_dimension_past_guard_exit_code(capsys, argv, name):
+    # unguarded, these ran out of memory, overflowed a float and ran an
+    # O(d) recurrence for minutes
+    code, out, err = capture(capsys, argv.split())
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: {name} exceeds the guard of {measure.DIM_GUARD}"]
 
 
 def test_lapack_failure_exit_code(monkeypatch, capsys):

@@ -9,8 +9,9 @@ import pytest
 from scipy import integrate, special
 
 from ksray import (
-    COMPLEX, REAL, ClassicalStrategy, ConspiratorialStrategy, MCEstimate,
-    Quadrant, QuantumStrategy, Region, RegionColoring, SeparableState,
+    COMPLEX, REAL, ClassicalStrategy, ConspiratorialStrategy, InvalidInput,
+    MCEstimate, Quadrant, QuantumStrategy, Region, RegionColoring,
+    SeparableState,
     basis_colored_fraction_mc, canonicalize, classify,
     colored_fraction_complex, colored_fraction_real, cycle_graph,
     mc_colored_fraction, platter_simulate, pole_counterexample, realize,
@@ -319,6 +320,27 @@ def test_haar_bases_obey_region_rules(field, d):
 
 # --- Monte Carlo fractions ------------------------------------------------------
 
+@pytest.mark.parametrize("field,d", [(REAL, 3), (REAL, 12), (REAL, 64),
+                                     (COMPLEX, 3), (COMPLEX, 16)])
+def test_mc_fraction_against_sampled_rays(field, d):
+    # oracle: classify the first weight of whole rays from sample_rays,
+    # against the two gamma variates per sample of the estimator
+    n = 50_000
+    rows = sample_rays(field, d, n, stream_rng(3131, d))
+    red, green = RegionColoring(field, d).masks(np.abs(rows[:, 0]) ** 2)
+    oracle = (red | green).mean()
+    est = mc_colored_fraction(field, d, 200_000, seed=3132)
+    se = math.sqrt(est.stderr ** 2 + oracle * (1 - oracle) / n)
+    assert abs(est.value - oracle) <= 4 * se
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_mc_fraction_d2_is_one(field):
+    # p_0 > 1/2 or p_0 < 1/2: every ray of dimension two is colored
+    est = mc_colored_fraction(field, 2, 20_000, seed=3133)
+    assert (est.value, est.stderr) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("field,d", [(REAL, 3), (REAL, 4), (REAL, 9),
                                      (REAL, 12), (COMPLEX, 3), (COMPLEX, 4),
                                      (COMPLEX, 9), (COMPLEX, 12)])
@@ -369,15 +391,48 @@ def test_region_reductions_count_a_widened_band(monkeypatch):
         basis_colored_fraction_mc(3, samples, seed)
 
 
+@pytest.mark.parametrize("call", [
+    colored_fraction_real,
+    colored_fraction_complex,
+    lambda d: mc_colored_fraction(REAL, d, 10, 0),
+    lambda d: region_validity_mc(COMPLEX, d, 10, 0),
+    lambda d: basis_colored_fraction_mc(d, 10, 0),
+], ids=["real", "complex", "fraction-mc", "validity-mc", "bases-mc"])
+def test_dimension_guard(call):
+    with pytest.raises(InvalidInput, match="exceeds the guard of 1000000"):
+        call(measure.DIM_GUARD + 1)
+
+
+def test_dimension_guard_admits_its_value():
+    d = measure.DIM_GUARD
+    assert abs(colored_fraction_complex(d) - (1 - 1 / math.e)) < 1e-6
+    assert mc_colored_fraction(COMPLEX, d, 10, 0).samples == 10
+
+
+@pytest.mark.parametrize("d,rows", [(64, CHUNK), (65, CHUNK * 64 // 65),
+                                    (1000, CHUNK * 64 // 1000)])
+def test_wide_rows_shrink_their_chunk(monkeypatch, d, rows):
+    # a chunk holds at most CHUNK * 64 normals; the last chunk is short
+    shapes = []
+
+    def recording(rng, n, width, field):
+        shapes.append((n, width))
+        return gaussian_rows(rng, n, width, field)
+
+    monkeypatch.setattr(measure, "gaussian_rows", recording)
+    region_validity_mc(REAL, d, 2 * rows + 7, seed=0)
+    assert shapes == [(rows, d), (rows, d), (7, d)]
+
+
 RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
 
 
 @pytest.mark.parametrize("run,expected", [
     (lambda: mc_colored_fraction(REAL, 5, RAGGED, 11),
-     "MCEstimate(value=0.7437652102930294, stderr=0.0012057865016953692, "
+     "MCEstimate(value=0.7406068096338849, stderr=0.0012106164645396293, "
      "samples=131079, seed=11)"),
     (lambda: mc_colored_fraction(COMPLEX, 4, RAGGED, 12),
-     "MCEstimate(value=0.7012412362010696, stderr=0.001264234071346475, "
+     "MCEstimate(value=0.7031255960146171, stderr=0.0012619329252985304, "
      "samples=131079, seed=12)"),
     (lambda: region_validity_mc(REAL, 3, RAGGED, 13), "(0, 0)"),
     (lambda: region_validity_mc(COMPLEX, 4, RAGGED, 13), "(0, 0)"),
