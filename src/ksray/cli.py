@@ -162,6 +162,11 @@ def _parse_scan(text: str) -> tuple[int, int]:
             f"--scan must be LO:HI, got {text!r}") from None
     if not 2 <= lo <= hi:
         raise rays.InvalidInput(f"--scan needs 2 <= LO <= HI, got {text!r}")
+    # the closed forms cost up to O(d) each: a scan gets the budget of one d
+    if (lo + hi) * (hi - lo + 1) // 2 > measure.DIM_GUARD:
+        raise rays.InvalidInput(
+            "the sum of --scan dimensions exceeds the guard of "
+            f"{measure.DIM_GUARD}")
     return lo, hi
 
 
@@ -270,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true")
     q.add_argument("--scan", metavar="LO:HI",
                    help="CSV of closed-form values for dimensions LO..HI, "
-                        "2 <= LO <= HI (columns: dimension, fraction); with "
-                        "--json one record of dimensions and fractions")
+                        "2 <= LO <= HI, whose sum is at most "
+                        f"{measure.DIM_GUARD} (columns: dimension, fraction); "
+                        "with --json one record of dimensions and fractions")
     q.set_defaults(fn=cmd_fraction)
 
     q = msub.add_parser("bases", help="fraction of fully colored real bases")

@@ -1,7 +1,10 @@
 """Rays, ray sets, and the named catalogs (cube, Peres, interlocking cubes, pentagon).
 
 A ray is a unit vector taken modulo global phase.  Canonical form: the first
-component whose modulus exceeds 1e-12 is real and strictly positive.  All
+component whose modulus exceeds 1e-12 is real and strictly positive, and the
+squared norm is within (2d + 20)·2^-53 of 1, a bound on the rounding of the
+normalise-and-rotate steps.  The form is a fixed point: a canonical row is
+kept bit for bit, so a ray set written to a file reads back unchanged.  All
 catalog entries are built from closed-form expressions, so orthogonality and
 duplicate decisions sit many orders of magnitude away from the tolerances.
 """
@@ -64,11 +67,13 @@ def _check_dim(d, name: str) -> None:
 def _canonical_rows(M, field: str) -> np.ndarray:
     """Canonical form of each row of an (n, d) array, as a new complex array.
 
-    Each row is divided by its norm and then by the phase of its first
-    component above 1e-12, which is then set exactly real; in the real field
-    only the real parts are kept.  The first row that is not finite, has an
-    imaginary part in the real field, or has norm at most 1e-12 raises
-    InvalidInput with its index.
+    A row that is already canonical is returned bit for bit: its lead (first
+    component above 1e-12) is real and positive and its squared norm is
+    within (2d + 20)·2^-53 of 1.  Every other row is divided by its norm and
+    then by the phase of its lead, which is then set exactly real.  In the
+    real field only the real parts are kept.  The first row that is not
+    finite, has an imaginary part in the real field, or has norm at most
+    1e-12 raises InvalidInput with its index.
     """
     _check_field(field)
     M = np.asarray(M, dtype=np.complex128)
@@ -77,7 +82,8 @@ def _canonical_rows(M, field: str) -> np.ndarray:
                            f"got shape {M.shape}")
     # np.linalg.norm of each row, bit for bit: the same two dot products
     re, im = M.real[:, None, :], M.imag[:, None, :]
-    norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    squares = (re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+    norms = np.sqrt(squares)
     imaginary = np.any(M.imag != 0.0, axis=1) & (field == REAL)
     bad = np.flatnonzero(~np.isfinite(norms) | imaginary | (norms <= NORM_TOL))
     if bad.size:
@@ -95,9 +101,27 @@ def _canonical_rows(M, field: str) -> np.ndarray:
     mags = np.hypot(V.real, V.imag)
     rows = np.arange(len(V))
     lead = np.argmax(mags > NORM_TOL, axis=1)
-    a = mags[rows, lead]
-    V *= (V[rows, lead].conj() / a)[:, None]
+    top, a = V[rows, lead], mags[rows, lead]
+    V *= (top.conj() / a)[:, None]
     V[rows, lead] = a  # kill the residual imaginary part exactly
+    # An output row w must pass this mask, so that a second call returns it
+    # unchanged.  With u = 2^-53, and first-order terms only (the rest are
+    # O(d^2 u^2)), |fl(|w|^2) - 1| is bounded by the sum of:
+    #   (d+1)u  the sum of squares of the input (2d products, two dot
+    #           products and one addition, in any summation order)
+    #   2u      its square root, squared
+    #   2u      dividing each real and imaginary part by the norm
+    #   10.5u   the phase rotation: 2u for the hypot of the lead (within one
+    #           ulp), 1u for dividing by it, and sqrt(5)u for each complex
+    #           product (Brent, Percival and Zimmermann 2007), all squared;
+    #           in the real field the rotation is exact
+    #   (d+1)u  the sum of squares of w, as the second call forms it
+    # That is (2d + 16.5)u; the mask allows (2d + 20)u.  The mask tests the
+    # lead found above, so a component within a few ulps of NORM_TOL ahead
+    # of the lead can still move it on a second call.
+    keep = (top.imag == 0.0) & (top.real > 0.0)
+    keep &= np.abs(squares - 1.0) <= (2 * M.shape[1] + 20) * 2.0 ** -53
+    np.copyto(V, M, where=keep[:, None])
     return V.real.astype(np.complex128) if field == REAL else V
 
 
@@ -105,8 +129,9 @@ def canonicalize(components, field: str = REAL) -> np.ndarray:
     """Normalize and phase-fix a raw component list into a canonical ray.
 
     The ray is a read-only complex 1-D array, a row as in RaySet.matrix.
-    Idempotent: feeding the output back in reproduces it to 1e-15
-    componentwise.  Raises InvalidInput when the norm is at most 1e-12, when
+    Idempotent bit for bit: a row that is already canonical (its lead real
+    and positive, its squared norm within (2d + 20)·2^-53 of 1) comes back
+    unchanged.  Raises InvalidInput when the norm is at most 1e-12, when
     field is "real" but an imaginary part is nonzero, or when a component is
     NaN or infinite.
     """
@@ -142,20 +167,35 @@ def _first_copies(overlaps: np.ndarray) -> np.ndarray:
     return np.argmax(np.triu(overlaps > 1.0 - DUP_TOL), axis=0)
 
 
+def _first_bad_row(vectors) -> InvalidInput:
+    """The refusal naming the first vector that is not a row of numbers, or
+    whose length differs from the first row's."""
+    dim = None
+    for k, v in enumerate(vectors if np.iterable(vectors) else ()):
+        try:
+            row = np.asarray(v, dtype=np.complex128)
+        except (TypeError, ValueError):
+            row = None
+        if row is None or row.ndim != 1:
+            return InvalidInput(f"ray {k}: not a row of numbers", index=k)
+        dim = len(row) if dim is None else dim
+        if len(row) != dim:
+            return InvalidInput(f"ray {k}: dimension {len(row)} != {dim}",
+                                index=k)
+    return InvalidInput("rays must be rows of numbers")
+
+
 def build_rayset(vectors, field: str, labels=None) -> RaySet:
     """Canonicalize raw vectors and enforce the ray-set invariants.
 
-    Raises InvalidInput (with the offending index) on a zero or
-    non-finite vector, a dimension mismatch, a field mismatch, or a
-    duplicate ray.
+    Raises InvalidInput (with the offending index) on a vector that is not
+    a row of numbers, a zero or non-finite vector, a dimension mismatch, a
+    field mismatch, or a duplicate ray.
     """
     try:
         M = np.asarray(vectors, dtype=np.complex128)
-    except ValueError:  # rows of different lengths
-        dim = len(vectors[0])
-        k = next(k for k, v in enumerate(vectors) if len(v) != dim)
-        raise InvalidInput(
-            f"ray {k}: dimension {len(vectors[k])} != {dim}", index=k) from None
+    except (TypeError, ValueError):  # ragged rows, or a row not of numbers
+        raise _first_bad_row(vectors) from None
     V = _canonical_rows(M, field)
     overlaps = np.abs(V.conj() @ V.T)
     first = _first_copies(overlaps)
@@ -264,14 +304,12 @@ def three_cubes(phi: float = 0.0) -> RaySet:
     stacked = np.concatenate([cube_one, _rot_to_second(phi) @ cube_one,
                               _rot_to_third(phi) @ cube_one])[:, :, 0]
     tags = [f"{tag}:{src}" for tag in ("I", "II", "III") for src in base.labels]
-    V = _canonical_rows(stacked, COMPLEX)
-    first = _first_copies(np.abs(V.conj() @ V.T))
-    keep = np.flatnonzero(first == np.arange(len(V)))
+    # unit rows up to rounding, so copies sit far inside DUP_TOL
+    first = _first_copies(np.abs(stacked.conj() @ stacked.T))
+    keep = np.flatnonzero(first == np.arange(len(stacked)))
     labels = ["|".join(t for t, f in zip(tags, first) if f == k) for k in keep]
-    # build_rayset canonicalizes again; the catalog's bits are those of the
-    # two passes
-    return build_rayset(V[keep].real if field == REAL else V[keep], field,
-                        labels)
+    return build_rayset(stacked[keep].real if field == REAL else stacked[keep],
+                        field, labels)
 
 
 def cube_members(label: str) -> frozenset[str]:

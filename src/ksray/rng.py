@@ -36,8 +36,8 @@ def gaussian_rows(rng, n: int, d: int, field: str) -> np.ndarray:
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK):
-    """Fixed chunk decomposition of a sample budget."""
-    return [min(chunk, total - start) for start in range(0, total, chunk)]
+    """Fixed chunk decomposition of a sample budget, one size at a time."""
+    return (min(chunk, total - start) for start in range(0, total, chunk))
 
 
 def chunks(seed: int, total: int, what: str = "samples", rows: int = CHUNK):

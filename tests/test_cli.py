@@ -256,11 +256,15 @@ def test_file_overrides_set(tmp_path, capsys):
 
 
 def test_catalog_emit_from_file(tmp_path, capsys):
-    _, text, _ = capture(capsys, ["catalog", "emit", "kcbs5"])
-    path = tmp_path / "pent.json"
-    path.write_text(text, encoding="utf-8")
-    assert capture(capsys, ["catalog", "emit", "--file", str(path)]) == \
-        (0, text, "")
+    # an emitted set is canonical, so emitting it again changes no byte
+    emits = [[name] for name in ksray.CATALOGS]
+    emits += [["three-cubes", "--phase", phi] for phi in ("0.3", "0.7")]
+    for argv in emits:
+        _, text, _ = capture(capsys, ["catalog", "emit", *argv])
+        path = tmp_path / "set.json"
+        path.write_text(text, encoding="utf-8")
+        assert capture(capsys, ["catalog", "emit", "--file", str(path)]) == \
+            (0, text, ""), argv
 
 
 def test_catalog_emit_needs_name_or_file(capsys):
@@ -411,6 +415,10 @@ def test_dimension_past_numpy_limit_exit_code(capsys, verb):
     ("measure bases --dim 10000000000000 --mc 1", "dimension"),
     ("measure fraction --field complex --dim 1" + "0" * 400, "N"),
     ("measure fraction --field real --dim 100000000000", "d"),
+    ("measure fraction --field real --scan 2:1414",
+     "the sum of --scan dimensions"),
+    ("measure fraction --field complex --scan 2:1000000",
+     "the sum of --scan dimensions"),
 ])
 def test_dimension_past_guard_exit_code(capsys, argv, name):
     # unguarded, these ran out of memory, overflowed a float and ran an

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +21,7 @@ from ksray import (
 )
 from ksray import measure, ortho
 from ksray.measure import _quadrant
-from ksray.rng import CHUNK, chunk_sizes, gaussian_rows
+from ksray.rng import CHUNK, chunk_sizes, chunks, gaussian_rows
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -465,6 +466,17 @@ def test_chunked_entry_points_pinned(run, expected):
     """Every chunked Monte Carlo result, to the last digit, over a budget
     whose last chunk is short: the chunk/stream split must never move."""
     assert repr(run()) == expected
+
+
+def test_first_chunk_of_a_large_budget_is_small():
+    # a list of chunk sizes held 8.5 MB per million chunks before any draw
+    tracemalloc.start()
+    try:
+        next(chunks(0, CHUNK * 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_basis_fraction_d2_is_one():

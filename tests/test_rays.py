@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ksray import (
-    COMPLEX, REAL, InvalidInput,
+    CATALOGS, COMPLEX, REAL, InvalidInput,
     build_rayset, canonicalize, ceg18, cube13, cube_members, kcbs5,
     load_rayset, peres24, rayset_to_json, three_cubes, ortho_graph,
     stream_rng,
@@ -82,6 +82,21 @@ def test_build_rayset_reports_first_duplicate():
         "ray 2 duplicates ray 1 (|overlap| = 1.000000000000)"
 
 
+@pytest.mark.parametrize("vectors,index", [
+    ([[1, 0], 5], 1), ([[1, "a"]], 0), ([5, [1, 0]], 0), (object(), None),
+])
+def test_build_rayset_refuses_what_is_not_rows_of_numbers(vectors, index):
+    with pytest.raises(InvalidInput, match="rows? of numbers") as err:
+        build_rayset(vectors, REAL)
+    assert err.value.index == index
+
+
+def test_build_rayset_names_a_ragged_row():
+    with pytest.raises(InvalidInput) as err:
+        build_rayset([(1, 0), (0, 1), (1, 1, 0)], REAL)
+    assert (str(err.value), err.value.index) == ("ray 2: dimension 3 != 2", 2)
+
+
 def test_rayset_matrix_is_read_only():
     rs = cube13()
     assert rs.matrix.shape == (13, 3) and rs.matrix.dtype == np.complex128
@@ -90,13 +105,17 @@ def test_rayset_matrix_is_read_only():
 
 
 def test_canonicalize_idempotent_random():
+    # a canonical row passes through bit for bit, at every scale of input
     rng = stream_rng(2024, 0)
-    for _ in range(1000):
-        d = int(rng.integers(2, 7))
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        once = canonicalize(v, COMPLEX)
-        twice = canonicalize(once, COMPLEX)
-        assert np.abs(once - twice).max() < 1e-15
+    for field in (REAL, COMPLEX):
+        for d in range(2, 65):
+            for _ in range(10):
+                v = rng.standard_normal(d)
+                if field == COMPLEX:
+                    v = v + 1j * rng.standard_normal(d)
+                v *= 10.0 ** rng.uniform(-6, 6)
+                once = canonicalize(v, field)
+                assert canonicalize(once, field).tobytes() == once.tobytes()
 
 
 # --- cube13 -----------------------------------------------------------------
@@ -220,13 +239,15 @@ def test_kcbs5_consecutive_orthogonality_identity():
 # --- file exchange ----------------------------------------------------------
 
 def test_rayset_roundtrip(tmp_path):
-    rs = cube13()
-    path = tmp_path / "cube.json"
-    path.write_text(rayset_to_json(rs), encoding="utf-8")
-    back = load_rayset(path.read_text(encoding="utf-8"))
-    assert len(back) == 13
-    assert np.abs(back.matrix - rs.matrix).max() < 1e-15
-    assert back.labels == rs.labels
+    sets = [make() for make in CATALOGS.values()]
+    sets += [three_cubes(phi) for phi in (0.3, 0.7, 2 * math.pi / 3)]
+    for rs in sets:
+        path = tmp_path / "set.json"
+        path.write_text(rayset_to_json(rs), encoding="utf-8")
+        back = load_rayset(path.read_text(encoding="utf-8"))
+        assert (back.dimension, back.field) == (rs.dimension, rs.field)
+        assert back.matrix.tobytes() == rs.matrix.tobytes()
+        assert back.labels == rs.labels
 
 
 def test_load_rayset_standard_basis():
@@ -359,9 +380,7 @@ def test_load_rayset_fuzz():
             return
         back = load_rayset(rayset_to_json(rs))
         assert (back.dimension, back.field) == (rs.dimension, rs.field)
-        # canonicalize is idempotent to 1e-15, not to the bit: [0, 1 + 1j]
-        # keeps a lead component of 1 - 2^-53, which reads back as 1
-        assert np.abs(back.matrix - rs.matrix).max() < 1e-15
+        assert back.matrix.tobytes() == rs.matrix.tobytes()
         assert back.labels == rs.labels
 
     check()
