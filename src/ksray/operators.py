@@ -27,10 +27,13 @@ def eigen_max(H: np.ndarray) -> float:
 
     The eigenpair comes from a full Hermitian decomposition; the result is
     accepted only if ||Hv - lambda v|| <= EIGEN_TOL, else NumericalFailure.
+    A NaN or infinite entry raises InvalidInput.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InvalidInput("square matrix required")
+    if not np.isfinite(H).all():  # NaN would pass both tolerance gates
+        raise InvalidInput("matrix entries must be finite")
     if np.abs(H - H.conj().T).max() > HERMITIAN_TOL:
         raise InvalidInput("matrix is not Hermitian within 1e-12")
     w, v = np.linalg.eigh(H)

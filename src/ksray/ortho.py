@@ -172,10 +172,13 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
     In the real field about one start in five stalls with some vectors
     shrunk towards zero, and more steps do not rescue it, so restart k of
     RESTARTS starts afresh from the substream stream_rng(seed, k); the
-    first success by restart index wins.  d must be an integer >= 2.
+    first success by restart index wins.  d must be an integer >= 2, and
+    a graph with no vertices raises InvalidInput.
     """
     _check_dim(d, "dimension")
     _check_field(field)
+    if g.n == 0:
+        raise InvalidInput("the graph has no vertices")
     n = g.n
     i, j = np.nonzero(np.triu(g.adjacency, 1))
     complex_ = field != REAL

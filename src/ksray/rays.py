@@ -1,11 +1,13 @@
-"""Rays, ray sets, and the named catalogs (cube, Peres, interlocking cubes, pentagon).
+"""Rays, ray sets, and the named catalogs (cube, Peres, interlocking cubes,
+pentagon, and the 18 rays of Cabello, Estebaranz and Garcia-Alcaine).
 
 A ray is a unit vector taken modulo global phase.  Canonical form: the first
 component whose modulus exceeds 1e-12 is real and strictly positive, and the
 squared norm is within (2d + 20)·2^-53 of 1, a bound on the rounding of the
 normalise-and-rotate steps.  The form is a fixed point: a canonical row is
 kept bit for bit, so a ray set written to a file reads back unchanged.  All
-catalog entries are built from closed-form expressions, so orthogonality and
+catalog entries are built from closed-form expressions (ceg18 and
+three-cubes from the rows of peres24 and cube13), so orthogonality and
 duplicate decisions sit many orders of magnitude away from the tolerances.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -255,6 +256,23 @@ def peres24() -> RaySet:
     return build_rayset(vecs, REAL, [_pattern_label(v) for v in vecs])
 
 
+# The peres24 rows of ceg18, in the vertex order that graph, bounds and
+# catalog emit print.
+_CEG18_ROWS = (3, 2, 4, 5, 1, 6, 7, 21, 22, 14, 16, 13, 8, 9, 11, 18, 17, 23)
+
+
+def ceg18() -> RaySet:
+    """The 18 rays in R^4 of Cabello, Estebaranz and Garcia-Alcaine
+    (Phys. Lett. A 212, 1996): peres24 less six rays, with its labels.
+
+    Its orthogonality graph has exactly 9 complete bases with every ray in
+    exactly 2 of them, which is what the parity certificate needs.
+    """
+    rs = peres24()
+    return build_rayset(rs.matrix[list(_CEG18_ROWS)], REAL,
+                        [rs.labels[k] for k in _CEG18_ROWS])
+
+
 # Change of basis sending (0,1,1)/sqrt2 -> e1, (0,1,-1)/sqrt2 -> e2,
 # (1,0,0) -> e3.  These are the three rays common to all three cubes;
 # the intercube maps below are written in this frame.
@@ -400,16 +418,6 @@ def load_rayset(text: str) -> RaySet:
                                or len(labels) != len(vectors)):
         raise InvalidInput("labels must match the number of rays")
     return build_rayset(vectors, field, labels)
-
-
-def ceg18() -> RaySet:
-    """The 18-ray set in R^4 shipped as a transcribed data file.
-
-    Its orthogonality graph has exactly 9 complete bases with every ray in
-    exactly 2 of them, which is what the parity certificate needs.
-    """
-    text = resources.files("ksray.data").joinpath("ceg18.json").read_text("utf-8")
-    return load_rayset(text)
 
 
 # Named catalogs in listing order; three-cubes takes its phase.

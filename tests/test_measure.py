@@ -21,6 +21,7 @@ from ksray import (
 )
 from ksray import measure, ortho
 from ksray.measure import _quadrant
+from ksray.rays import _canonical_rows
 from ksray.rng import CHUNK, chunk_sizes, chunks, gaussian_rows
 
 SQ2 = math.sqrt(2.0)
@@ -40,13 +41,11 @@ def test_classify_real_equator_is_green():
 
 
 def _integer_rays():
-    """(d, v) for every nonzero v with entries in {0, +-1, +-2, 3} for
-    d = 2-4 and in {0, +-1} for d = 5-9."""
+    """(d, rays) for d = 2-9: every nonzero ray with entries in
+    {0, +-1, +-2, 3} for d = 2-4 and in {0, +-1} for d = 5-9."""
     for d in range(2, 10):
         entries = (0, 1, -1, 2, -2, 3) if d <= 4 else (0, 1, -1)
-        for v in itertools.product(entries, repeat=d):
-            if any(v):
-                yield d, v
+        yield d, [v for v in itertools.product(entries, repeat=d) if any(v)]
 
 
 @functools.cache
@@ -62,15 +61,19 @@ def _exact_region(top: int, total: int, d: int) -> Region:
 def test_classify_matches_exact_rule_on_integer_rays(field):
     # p_0 of an integer ray is rational, so the exact rule decides every
     # region, and a ray exactly on a boundary is Uncolored whatever rounding
-    # does to its canonical form; complex rays put i on the odd coordinates
-    rcs = {d: RegionColoring(field, d) for d in range(2, 10)}
+    # does to its canonical form; complex rays put i on the odd coordinates.
+    # Each dimension's rays are canonicalized in one batch, row by row the
+    # same bits as canonicalize.
     wrong = []
-    for d, v in _integer_rays():
-        vec = v if field == REAL else [x * 1j if k % 2 else x
-                                       for k, x in enumerate(v)]
-        got = classify(rcs[d], canonicalize(vec, field))
-        if got is not _exact_region(v[0] ** 2, sum(x * x for x in v), d):
-            wrong.append(v)
+    for d, rays in _integer_rays():
+        rc = RegionColoring(field, d)
+        M = np.array(rays, dtype=np.complex128)
+        if field == COMPLEX:
+            M[:, 1::2] *= 1j
+        for v, row in zip(rays, _canonical_rows(M, field)):
+            got = classify(rc, row)
+            if got is not _exact_region(v[0] ** 2, sum(x * x for x in v), d):
+                wrong.append(v)
     assert not wrong, wrong[:5]
 
 

@@ -51,6 +51,14 @@ def test_eigen_max_rejects_nonhermitian():
         eigen_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("H", [np.full((2, 2), np.nan),
+                               [[np.inf, 0.0], [0.0, 1.0]]])
+def test_eigen_max_rejects_non_finite_entries(H):
+    # NaN passes both tolerance gates, so it must be refused up front
+    with pytest.raises(InvalidInput):
+        eigen_max(H)
+
+
 def test_eigen_max_failed_residual_is_numerical_failure(monkeypatch):
     monkeypatch.setattr(operators, "EIGEN_TOL", -1.0)
     with pytest.raises(NumericalFailure) as err:

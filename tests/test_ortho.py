@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ksray import (
-    CATALOGS, NumericalFailure, ceg18, complete_bases, cube13, cycle_graph,
+    CATALOGS, InvalidInput, NumericalFailure, ceg18, complete_bases, cube13, cycle_graph,
     from_edges, graph_to_json, kcbs5, maximal_cliques, ortho_graph, peres24,
     realize, stream_rng, three_cubes, build_rayset, ks_solve,
 )
@@ -224,6 +224,11 @@ def test_realize_failure_is_a_numerical_failure():
     with pytest.raises(NumericalFailure) as err:
         realize(cycle_graph(5), 2, seed=3)
     assert err.value.gap > 1e-10
+
+
+def test_realize_refuses_a_graph_with_no_vertices():
+    with pytest.raises(InvalidInput, match="the graph has no vertices"):
+        realize(from_edges(0, [], 3), 3, seed=0)
 
 
 @pytest.mark.parametrize("make", [

@@ -403,3 +403,15 @@ def test_ceg18_structure():
         for v in b:
             counts[v] += 1
     assert counts == [2] * 18
+
+
+def test_ceg18_is_peres24_less_six_rays():
+    small, big = ceg18(), peres24()
+    # each ceg18 row is a peres24 row byte for byte, and carries its label
+    rows = {row.tobytes(): k for k, row in enumerate(big.matrix)}
+    assert all(row.tobytes() in rows for row in small.matrix)
+    kept = [rows[row.tobytes()] for row in small.matrix]
+    assert small.labels == tuple(big.labels[k] for k in kept)
+    left_out = [big.labels[k] for k in range(24) if k not in kept]
+    assert left_out == ["1,0,0,0", "0,1,1,0", "0,1,0,1", "0,0,1,-1",
+                        "1,1,-1,-1", "1,-1,1,1"]
