@@ -3,8 +3,9 @@
 Subcommands: catalog, graph, color, bounds, spectrum, platter, measure.
 Exit codes: 0 success, 2 invalid input (InvalidInput or OSError), 1 numerical
 failure (NumericalFailure or numpy's LinAlgError); any other exception is a
-bug and surfaces as a traceback.  Output for a fixed argv (including seeds)
-is byte-identical between runs.
+bug and surfaces as a traceback.  A command that fails writes nothing to
+stdout.  Output for a fixed argv (including seeds) is byte-identical between
+runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from . import kscolor, measure, operators, ortho, rays
 
 
 def _resolve_set(args) -> rays.RaySet:
-    """Named catalog sets resolve first; an explicit file overrides the name."""
+    """The one place that picks a command's ray set: --file overrides the
+    named catalog, and --phase applies to three-cubes alone."""
+    if not args.file and args.set is None:
+        raise rays.InvalidInput("no ray set given; use --set or --file")
+    if args.phase is not None and (args.file or args.set != "three-cubes"):
+        raise rays.InvalidInput("--phase applies only to three-cubes")
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             try:
@@ -30,20 +36,17 @@ def _resolve_set(args) -> rays.RaySet:
             except UnicodeDecodeError as exc:  # a binary file
                 raise rays.InvalidInput(str(exc)) from exc
         return rays.load_rayset(text)
-    name = args.set
-    if name is None:
-        raise rays.InvalidInput("no ray set given; use --set or --file")
-    make = rays.CATALOGS.get(name)
+    make = rays.CATALOGS.get(args.set)
     if make is None:
-        raise rays.InvalidInput(
-            f"unknown set {name!r}; choices: {', '.join(rays.CATALOGS)}")
-    return make(args.phase) if make is rays.three_cubes else make()
+        raise rays.InvalidInput(f"unknown set {args.set!r}; "
+                                f"choices: {', '.join(rays.CATALOGS)}")
+    return make() if args.phase is None else make(args.phase)
 
 
 def _add_set_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", choices=tuple(rays.CATALOGS),
-                   help="named catalog set")
-    p.add_argument("--phase", type=float, default=0.0,
+    p.add_argument("--set", help="named catalog set: "
+                                 + ", ".join(rays.CATALOGS))
+    p.add_argument("--phase", type=float,
                    help="free phase for three-cubes (default 0)")
     p.add_argument("--file", help="ray-set file (overrides --set)")
 
@@ -52,9 +55,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _emit(as_json: bool, record: dict, lines: list[str]) -> None:
-    """Print one result: its record as a sorted-key JSON line, or its text."""
-    print(json.dumps(record, sort_keys=True) if as_json else "\n".join(lines))
+def _render(as_json: bool, record: dict, lines: list[str]) -> str:
+    """One result: its record as a sorted-key JSON line, or its text."""
+    return (json.dumps(record, sort_keys=True) if as_json
+            else "\n".join(lines)) + "\n"
 
 
 def _estimate(est: measure.MCEstimate) -> tuple[dict, list[str]]:
@@ -64,48 +68,37 @@ def _estimate(est: measure.MCEstimate) -> tuple[dict, list[str]]:
         f"samples: {est.samples} seed: {est.seed}"]
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> str:
     if args.action == "list":
-        for name in rays.CATALOGS:
-            print(name)
-        return 0
-    sys.stdout.write(rays.rayset_to_json(_resolve_set(args)))
-    return 0
+        return "".join(f"{name}\n" for name in rays.CATALOGS)
+    return rays.rayset_to_json(_resolve_set(args))
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> str:
+    return ortho.graph_to_json(ortho.ortho_graph(_resolve_set(args)))
+
+
+def cmd_color(args) -> str:
     g = ortho.ortho_graph(_resolve_set(args))
-    sys.stdout.write(ortho.graph_to_json(g))
-    return 0
-
-
-def cmd_color(args) -> int:
-    rs = _resolve_set(args)
-    g = ortho.ortho_graph(rs)
-    bases = ortho.complete_bases(g)
-    verdict = kscolor.ks_solve(g, bases)
+    verdict = kscolor.ks_solve(g, ortho.complete_bases(g))
     if verdict.colorable:
-        print("COLORABLE")
         row = " ".join(f"{lbl}={c.value}"
                        for lbl, c in zip(g.vertex_labels, verdict.witness))
-        print(f"witness: {row}")
+        return f"COLORABLE\nwitness: {row}\n"
+    cert = verdict.certificate
+    if isinstance(cert, kscolor.ParityCertificate):
+        incid = sorted(set(cert.incidence_counts))
+        why = (f"parity ({cert.basis_count} bases, "
+               f"incidence counts {incid} all even)")
     else:
-        print("UNCOLORABLE")
-        cert = verdict.certificate
-        if isinstance(cert, kscolor.ParityCertificate):
-            incid = sorted(set(cert.incidence_counts))
-            print(f"certificate: parity ({cert.basis_count} bases, "
-                  f"incidence counts {incid} all even)")
-        else:
-            print(f"certificate: exhaustive search "
-                  f"({cert.nodes_explored} nodes explored)")
-    return 0
+        why = f"exhaustive search ({cert.nodes_explored} nodes explored)"
+    return f"UNCOLORABLE\ncertificate: {why}\n"
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> str:
     g = ortho.ortho_graph(_resolve_set(args))
     report = bounds_mod.bounds_report(g)
-    _emit(args.json, dict(
+    return _render(args.json, dict(
         alpha=report.alpha, theta=report.theta, alpha_star=report.alpha_star,
         theta_gap=report.theta_gap,
         independent_set=list(report.independent_set),
@@ -114,21 +107,17 @@ def cmd_bounds(args) -> int:
         f"theta      = {_fmt(report.theta)} (gap {report.theta_gap:.2e})",
         f"alpha_star = {_fmt(report.alpha_star)}",
         f"independent set: {list(report.independent_set)}"])
-    return 0
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> str:
     rs = _resolve_set(args)
     sigma = operators.projector_sum(rs)
-    eigs = np.linalg.eigvalsh(sigma)
-    print("eigenvalues:", " ".join(_fmt(w) for w in eigs))
-    print(f"max eigenvalue: {_fmt(operators.eigen_max(sigma))}")
+    eigs = " ".join(_fmt(w) for w in np.linalg.eigvalsh(sigma))
+    top = _fmt(operators.eigen_max(sigma))
     flat, const = operators.equal_weight_povm_check(rs)
-    if flat:
-        print(f"equal-weight POVM: yes (sum = {_fmt(const)} * I)")
-    else:
-        print("equal-weight POVM: no")
-    return 0
+    povm = f"yes (sum = {_fmt(const)} * I)" if flat else "no"
+    return (f"eigenvalues: {eigs}\nmax eigenvalue: {top}\n"
+            f"equal-weight POVM: {povm}\n")
 
 
 def _components(kind, text: str) -> tuple:
@@ -139,7 +128,7 @@ def _components(kind, text: str) -> tuple:
         raise rays.InvalidInput(str(exc)) from exc
 
 
-def cmd_platter(args) -> int:
+def cmd_platter(args) -> str:
     if args.strategy == "classical":
         strategy = operators.ClassicalStrategy(
             _components(int, args.assignment))
@@ -148,10 +137,8 @@ def cmd_platter(args) -> int:
     else:
         strategy = operators.QuantumStrategy(_components(complex, args.state))
     out = operators.platter_simulate(strategy, args.trials, args.seed)
-    print(f"strategy: {out.strategy}")
-    print(f"estimate: {_fmt(out.estimate)}")
-    print(f"trials: {out.trials} seed: {out.seed}")
-    return 0
+    return (f"strategy: {out.strategy}\nestimate: {_fmt(out.estimate)}\n"
+            f"trials: {out.trials} seed: {out.seed}\n")
 
 
 def _parse_scan(text: str) -> tuple[int, int]:
@@ -170,17 +157,16 @@ def _parse_scan(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_fraction(args) -> int:
+def cmd_fraction(args) -> str:
     fn = (measure.colored_fraction_real if args.field == "real"
           else measure.colored_fraction_complex)
     if args.scan:
         lo, hi = _parse_scan(args.scan)
         dims = list(range(lo, hi + 1))
         fracs = [fn(d) for d in dims]
-        _emit(args.json, {"dimensions": dims, "fractions": fracs},
-              ["dimension,fraction",
-               *(f"{d},{_fmt(f)}" for d, f in zip(dims, fracs))])
-        return 0
+        return _render(args.json, {"dimensions": dims, "fractions": fracs},
+                       ["dimension,fraction",
+                        *(f"{d},{_fmt(f)}" for d, f in zip(dims, fracs))])
     if args.dim is None:
         raise rays.InvalidInput("measure fraction needs --dim or --scan")
     exact = fn(args.dim)
@@ -189,35 +175,31 @@ def cmd_fraction(args) -> int:
         est, est_lines = _estimate(measure.mc_colored_fraction(
             args.field, args.dim, args.mc, args.seed))
         record, lines = record | est, lines + est_lines
-    _emit(args.json, record, lines)
-    return 0
+    return _render(args.json, record, lines)
 
 
-def cmd_bases(args) -> int:
+def cmd_bases(args) -> str:
     est = measure.basis_colored_fraction_mc(args.dim, args.mc, args.seed)
-    _emit(args.json, *_estimate(est))
-    return 0
+    return _render(args.json, *_estimate(est))
 
 
-def cmd_validity(args) -> int:
+def cmd_validity(args) -> str:
     both_red, all_green = measure.region_validity_mc(
         args.field, args.dim, args.mc, args.seed)
-    _emit(args.json, {"both_red_pairs": both_red,
-                      "all_green_bases": all_green,
-                      "samples": args.mc, "seed": args.seed},
-          [f"both-red orthogonal pairs: {both_red}",
-           f"all-green bases: {all_green}",
-           f"samples: {args.mc} seed: {args.seed}"])
-    return 0
+    return _render(args.json, {"both_red_pairs": both_red,
+                               "all_green_bases": all_green,
+                               "samples": args.mc, "seed": args.seed},
+                   [f"both-red orthogonal pairs: {both_red}",
+                    f"all-green bases: {all_green}",
+                    f"samples: {args.mc} seed: {args.seed}"])
 
 
-def cmd_separable(args) -> int:
+def cmd_separable(args) -> str:
     violations = measure.separable_validity_mc(args.mc, args.seed)
-    _emit(args.json, {"same_quadrant_pairs": violations,
-                      "samples": args.mc, "seed": args.seed},
-          [f"same-quadrant orthogonal pairs: {violations}",
-           f"samples: {args.mc} seed: {args.seed}"])
-    return 0
+    return _render(args.json, {"same_quadrant_pairs": violations,
+                               "samples": args.mc, "seed": args.seed},
+                   [f"same-quadrant orthogonal pairs: {violations}",
+                    f"samples: {args.mc} seed: {args.seed}"])
 
 
 @functools.cache  # one tree per process: building it costs more than most runs
@@ -231,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or emit the named ray sets")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("set", nargs="?", metavar="name", help="set name for emit")
-    p.add_argument("--phase", type=float, default=0.0)
+    p.add_argument("--phase", type=float,
+                   help="free phase for three-cubes (default 0)")
     p.add_argument("--file", help="ray-set file (overrides the name)")
     p.set_defaults(fn=cmd_catalog)
 
@@ -305,15 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if (args.command == "catalog" and args.action == "emit"
-            and not (args.set or args.file)):
-        parser.error("catalog emit needs a set name or --file")
-    if args.command == "catalog" and args.set:
-        args.set = args.set.replace("_", "-")
+    """Run one command; its text reaches stdout only when it succeeds."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        sys.stdout.write(args.fn(args))
+        return 0
     except (rays.InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

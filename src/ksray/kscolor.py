@@ -160,10 +160,11 @@ def verify_coloring(g: OrthoGraph, bases, coloring):
 
     Violations are reported as ("edge", (i, j)) for the first Red-Red edge in
     (i, j) lexicographic order, then ("basis", k) for the first basis whose
-    Red count differs from one.
+    Red count differs from one.  A coloring that does not give each vertex a
+    Color raises InvalidInput.
     """
     colors = list(coloring)
-    if len(colors) != g.n:
+    if len(colors) != g.n or not all(isinstance(c, Color) for c in colors):
         raise InvalidInput("coloring must be total over the vertices")
     for i, j in g.edges:
         if colors[i] is Color.RED and colors[j] is Color.RED:

@@ -41,6 +41,8 @@ class OrthoGraph:
             raise InvalidInput("adjacency must be symmetric")
         if np.any(np.diag(a)):
             raise InvalidInput("adjacency diagonal must be false")
+        if len(self.vertex_labels) != self.n:
+            raise InvalidInput("vertex labels must number n")
 
     @property
     def edges(self) -> list[tuple[int, int]]:

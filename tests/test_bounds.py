@@ -193,6 +193,23 @@ def test_theta_monotone_under_edge_deletion():
     assert abs(minus - 3.0) < 1e-5  # the path P5 is perfect, alpha = 3
 
 
+def test_theta_no_decrease_exit():
+    """On this degenerate G(32, 0.5) rounding stops <X, Z> from falling
+    before it reaches the stop target, so the loop ends on its no-decrease
+    rule with its last iterate.  alpha = alpha* = 7, so theta = 7; the
+    certified gap's digits follow LAPACK's rounding and are not pinned."""
+    upper = np.triu(np.random.default_rng([32, 5, 2, 77])
+                    .random((32, 32)) < 0.5, 1)
+    g = from_edges(32, list(zip(*np.nonzero(upper))), dimension=3)
+    assert len(g.edges) == 251
+    eps = bounds_mod.EPS
+    cert = theta_certificate(g)
+    assert cert.gap <= eps
+    assert cert.lower <= 7 + eps and cert.upper >= 7 - eps
+    report = bounds_report(g)
+    assert report.alpha == 7 and abs(report.alpha_star - 7) <= 1e-9
+
+
 # --- fractional packing -----------------------------------------------------
 
 def test_packing_c5():

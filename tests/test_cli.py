@@ -267,13 +267,41 @@ def test_catalog_emit_from_file(tmp_path, capsys):
             (0, text, ""), argv
 
 
+CHOICES = "cube13, peres24, three-cubes, kcbs5, ceg18"
+
+
 def test_catalog_emit_needs_name_or_file(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["catalog", "emit"])
-    assert exc.value.code == 2
-    assert "catalog emit needs a set name or --file" in capsys.readouterr().err
-    code, out, err = capture(capsys, ["catalog", "emit", "nosuch"])
-    assert code == 2 and out == "" and "unknown set 'nosuch'" in err
+    # refused by run itself, like --set, not by argparse's SystemExit
+    for argv in (["catalog", "emit"], ["catalog", "emit", "--phase", "0.5"]):
+        assert capture(capsys, argv) == \
+            (2, "", "error: no ray set given; use --set or --file\n")
+    for name in ("nosuch", "three_cubes"):
+        assert capture(capsys, ["catalog", "emit", name]) == \
+            (2, "", f"error: unknown set {name!r}; choices: {CHOICES}\n")
+
+
+SET_REFUSALS = [
+    ("graph --set nosuch", f"unknown set 'nosuch'; choices: {CHOICES}"),
+    ("color --set peres24 --phase nan", "--phase applies only to three-cubes"),
+    ("color --set kcbs5 --phase 0", "--phase applies only to three-cubes"),
+    ("catalog emit cube13 --phase 1", "--phase applies only to three-cubes"),
+]
+
+
+@pytest.mark.parametrize("line,message", SET_REFUSALS,
+                         ids=[line for line, _ in SET_REFUSALS])
+def test_set_selection_refusals(capsys, line, message):
+    # one error line and exit 2 from run itself, not argparse's SystemExit
+    assert capture(capsys, line.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("verb", [["graph"], ["catalog", "emit"]])
+def test_phase_with_file_refused(tmp_path, capsys, verb):
+    _, text, _ = capture(capsys, ["catalog", "emit", "three-cubes"])
+    path = tmp_path / "three.json"
+    path.write_text(text, encoding="utf-8")
+    assert capture(capsys, [*verb, "--file", str(path), "--phase", "1"]) == \
+        (2, "", "error: --phase applies only to three-cubes\n")
 
 
 def test_unknown_file_exit_code(tmp_path, capsys):
@@ -363,7 +391,7 @@ def test_parser_built_once_per_process(capsys):
         ["color", "--set", "kcbs5"],
         ["measure", "validity", "--field", "complex", "--dim", "3",
          "--mc", "2000", "--seed", "2"],
-        ["catalog", "emit", "three_cubes", "--phase", "0.5"],
+        ["catalog", "emit", "three-cubes", "--phase", "0.5"],
         ["measure", "fraction", "--field", "real", "--dim", "4"],
         ["platter", "--strategy", "conspiratorial", "--trials", "500"],
         ["measure", "bases", "--dim", "3", "--mc", "2000", "--json"],
@@ -397,8 +425,8 @@ def test_file_name_with_braces(tmp_path, capsys, name):
 
 def test_failed_eigen_residual_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(operators, "EIGEN_TOL", -1.0)
-    code, _, err = capture(capsys, ["spectrum", "--set", "cube13"])
-    assert code == 1
+    code, out, err = capture(capsys, ["spectrum", "--set", "cube13"])
+    assert (code, out) == (1, "")  # no partial output before the failure
     assert len(err.splitlines()) == 1
     assert err.startswith("numerical failure: eigen residual")
 

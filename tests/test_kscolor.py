@@ -6,8 +6,8 @@ import pytest
 
 from ksray import (
     Color, ExhaustionProof, InvalidInput, ParityCertificate, ceg18,
-    complete_bases, count_colorings, cube13, from_edges, kcbs5, ks_solve,
-    ortho_graph, peres24, stream_rng, three_cubes, verify_coloring,
+    complete_bases, count_colorings, cube13, cycle_graph, from_edges, kcbs5,
+    ks_solve, ortho_graph, peres24, stream_rng, three_cubes, verify_coloring,
 )
 
 R, G = Color.RED, Color.GREEN
@@ -43,6 +43,18 @@ def test_verify_red_red_edge():
     g = from_edges(2, [(0, 1)], dimension=2)
     ok, violation = verify_coloring(g, [], (R, R))
     assert not ok and violation == ("edge", (0, 1))
+
+
+@pytest.mark.parametrize("coloring", [
+    [R] * 4, [R] * 6, ["R"] * 5, ["G"] * 5, [None] * 5, [1, 0, 1, 0, 0],
+    [R, G, R, G, "G"],
+], ids=["short", "long", "strings-red", "strings-green", "none", "ints",
+        "one-string"])
+def test_verify_refuses_what_is_not_a_total_coloring(coloring):
+    # "R" spells Color.RED's value but is not a Color
+    with pytest.raises(InvalidInput,
+                       match="coloring must be total over the vertices"):
+        verify_coloring(cycle_graph(5), [], coloring)
 
 
 # --- ks_solve ---------------------------------------------------------------

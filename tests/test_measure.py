@@ -109,6 +109,13 @@ def test_classify_real_coloring_rejects_imaginary_part(ray):
     assert classify(RegionColoring(COMPLEX, 3), ray) is Region.RED
 
 
+@pytest.mark.parametrize("ray", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0)])
+def test_classify_rejects_dimension_mismatch(ray):
+    with pytest.raises(InvalidInput,
+                       match="ray dimension does not match the coloring"):
+        classify(RegionColoring(REAL, 3), np.asarray(ray))
+
+
 def test_classify_phase_invariant():
     rc = RegionColoring(COMPLEX, 3)
     rng = stream_rng(606, 0)

@@ -6,7 +6,7 @@ import pytest
 from ksray import operators
 from ksray import (
     ClassicalStrategy, ConspiratorialStrategy, InvalidInput,
-    QuantumStrategy, build_rayset, ceg18, cube13, eigen_max,
+    QuantumStrategy, RaySet, build_rayset, ceg18, cube13, eigen_max,
     equal_weight_povm_check, kcbs5, peres24, platter_simulate,
     projector_sum, stream_rng, three_cubes, NumericalFailure,
 )
@@ -57,6 +57,21 @@ def test_eigen_max_rejects_non_finite_entries(H):
     # NaN passes both tolerance gates, so it must be refused up front
     with pytest.raises(InvalidInput):
         eigen_max(H)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: projector_sum(RaySet(3, "real", np.zeros((0, 3), complex), ())),
+     "empty ray set"),
+    (lambda: eigen_max(np.zeros((2, 3))), "square matrix required"),
+], ids=["empty-set", "non-square"])
+def test_operator_refusals(make, message):
+    with pytest.raises(InvalidInput, match=message):
+        make()
+
+
+def test_platter_unknown_strategy_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown strategy"):
+        platter_simulate("quantum", 10, 0)
 
 
 def test_eigen_max_failed_residual_is_numerical_failure(monkeypatch):

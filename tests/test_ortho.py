@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ksray import (
-    CATALOGS, InvalidInput, NumericalFailure, ceg18, complete_bases, cube13, cycle_graph,
+    CATALOGS, InvalidInput, NumericalFailure, OrthoGraph, RaySet, ceg18,
+    complete_bases, cube13, cycle_graph,
     from_edges, graph_to_json, kcbs5, maximal_cliques, ortho_graph, peres24,
     realize, stream_rng, three_cubes, build_rayset, ks_solve,
 )
@@ -265,6 +266,31 @@ def test_edge_endpoint_not_an_integer(edge, shown):
 ])
 def test_malformed_graph_input_is_a_value_error(make, field):
     with pytest.raises(ValueError, match=re.escape(field)):
+        make()
+
+
+NO_EDGES = np.zeros((2, 2), dtype=bool)
+EMPTY_SET = RaySet(dimension=3, field="real",
+                   matrix=np.zeros((0, 3), dtype=complex), labels=())
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: OrthoGraph(3, NO_EDGES, 3, ("a", "b", "c")),
+     "adjacency shape mismatch"),
+    (lambda: OrthoGraph(2, np.array([[False, True], [False, False]]), 3,
+                        ("a", "b")), "adjacency must be symmetric"),
+    (lambda: OrthoGraph(2, np.eye(2, dtype=bool), 3, ("a", "b")),
+     "adjacency diagonal must be false"),
+    # too few labels would make `ksray color` drop a vertex from its witness
+    (lambda: OrthoGraph(2, NO_EDGES, 3, ("a",)), "vertex labels must number n"),
+    (lambda: OrthoGraph(2, NO_EDGES, 3, ("a", "b", "c")),
+     "vertex labels must number n"),
+    (lambda: from_edges(3, [(1, 1)], 3), "self loop"),
+    (lambda: ortho_graph(EMPTY_SET), "empty ray set"),
+], ids=["shape", "asymmetric", "diagonal", "few-labels", "many-labels",
+        "self-loop", "empty-set"])
+def test_graph_refusals(make, message):
+    with pytest.raises(InvalidInput, match=message):
         make()
 
 

@@ -316,6 +316,21 @@ def test_load_rayset_text_and_paths(tmp_path):
         load_rayset(str(path))  # a path is not JSON text
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: canonicalize([1.0]), "rays need at least 2 components each"),
+    (lambda: build_rayset([(1, 0), (0, 1)], REAL, labels=["a"]),
+     "labels length differs from ray count"),
+    (lambda: load_rayset('{"dimension": 2, "field": "real", "rays": []}'),
+     "rays must be a nonempty array"),
+    (lambda: load_rayset('{"dimension": 2, "field": "real", '
+                         '"rays": [[[1, 0], [0, 0]]], "labels": ["a", "b"]}'),
+     "labels must match the number of rays"),
+], ids=["one-component", "build-labels", "no-rays", "load-labels"])
+def test_ray_set_refusals(make, message):
+    with pytest.raises(InvalidInput, match=message):
+        make()
+
+
 def test_load_rayset_bad_field():
     text = json.dumps({"dimension": 2, "field": "rational",
                        "rays": [[[1, 0], [0, 0]]]})
