@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ortho import (InvalidInput, NumericalFailure, OrthoGraph, _bits,
-                    _neighbor_masks, maximal_cliques)
+                    maximal_cliques)
 
 SIZE_GUARD = 64
 MAX_ITERATIONS = 100
@@ -42,7 +42,7 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
     _check_size(g, empty_ok=True)
     full = (1 << g.n) - 1
     comp = [full & ~nbrs & ~(1 << v)
-            for v, nbrs in enumerate(_neighbor_masks(g))]
+            for v, nbrs in enumerate(g._neighbor_masks)]
     best_size = 0
     best_mask = 0
 

@@ -8,10 +8,12 @@ contain exactly one Red vertex.  A graph with no complete bases is colorable
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 
-from .ortho import (InvalidInput, OrthoGraph, _bits, _neighbor_masks,
-                    complete_bases)
+from .ortho import InvalidInput, OrthoGraph, _bits, complete_bases
+from .rays import _is_int
 
 
 class Color(enum.Enum):
@@ -62,42 +64,48 @@ class _Searcher:
     fully Green basis is a conflict.
     """
 
-    def __init__(self, g: OrthoGraph, bases):
+    def __init__(self, g: OrthoGraph, basis_masks: list[int]):
         self.n = g.n
-        self.nbrs = _neighbor_masks(g)
+        self.nbrs = g._neighbor_masks
         self.in_bases: list[list[int]] = [[] for _ in range(g.n)]
-        for b in bases:
-            mask = sum(1 << v for v in b)
-            for v in b:
+        for mask in basis_masks:
+            for v in _bits(mask):
                 self.in_bases[v].append(mask)
         self.order = sorted(range(g.n),
                             key=lambda v: (-self.nbrs[v].bit_count(), v))
         self.nodes = 0
         self.witness: tuple[Color, ...] | None = None
+        self.counts: dict[int, int] = {}
 
-    def _propagate(self, red: int, green: int, queue: list[int]):
-        """The fixpoint (red, green) of the rules from the queued vertices,
-        or None on a conflict."""
-        while queue:
-            v = queue.pop()
-            if red >> v & 1:
+    def _propagate(self, red: int, green: int, pending: int):
+        """The fixpoint (red, green) of the rules from the pending vertices,
+        or None on a conflict.
+
+        The fixpoint, or the conflict, is the same in any order, so pending
+        is a mask popped lowest bit first.
+        """
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            v = low.bit_length() - 1
+            if red & low:
                 if self.nbrs[v] & red:
                     return None
                 new = self.nbrs[v] & ~green
                 green |= new
-                queue.extend(_bits(new))
+                pending |= new
             for b in self.in_bases[v]:
                 reds, unset = b & red, b & ~(red | green)
                 if reds & (reds - 1):
                     return None
                 if reds:
                     green |= unset
-                    queue.extend(_bits(unset))
+                    pending |= unset
                 elif not unset:
                     return None  # fully green basis
                 elif not unset & (unset - 1):
                     red |= unset
-                    queue.append(unset.bit_length() - 1)
+                    pending |= unset
         return red, green
 
     def search(self, red: int = 0, green: int = 0,
@@ -105,10 +113,17 @@ class _Searcher:
         """Count the colorings extending (red, green), stopping once limit
         of them are found.
 
-        The first coloring reached is kept in self.witness.
+        The first coloring reached is kept in self.witness.  Without a
+        limit each total is memoized on the assigned mask red | green.  That
+        is exact because after propagation every basis with an unassigned
+        vertex holds no Red and no unassigned vertex touches a Red, so the
+        completions depend only on which vertices are unassigned.
         """
+        assigned = red | green
+        if limit is None and assigned in self.counts:
+            return self.counts[assigned]
         self.nodes += 1
-        v = next((u for u in self.order if not (red | green) >> u & 1), None)
+        v = next((u for u in self.order if not assigned >> u & 1), None)
         if v is None:
             if self.witness is None:
                 self.witness = tuple(Color.RED if red >> u & 1 else Color.GREEN
@@ -116,23 +131,50 @@ class _Searcher:
             return 1
         total = 0
         for branch in ((red | 1 << v, green), (red, green | 1 << v)):
-            state = self._propagate(*branch, [v])
+            state = self._propagate(*branch, 1 << v)
             if state is not None:
                 total += self.search(*state, limit=limit)
             if limit is not None and total >= limit:
                 break
+        if limit is None:
+            self.counts[assigned] = total
         return total
 
 
-def _parity_certificate(bases, n: int) -> ParityCertificate | None:
-    counts = [0] * n
+def _basis_masks(g: OrthoGraph, bases) -> list[int]:
+    """Each basis as the bitmask of its vertices.
+
+    A basis must be a sequence of distinct integer vertices of g; any other
+    raises InvalidInput naming it.
+    """
+    masks = []
     for b in bases:
-        for v in b:
-            counts[v] += 1
-    if len(bases) % 2 == 1 and all(c % 2 == 0 for c in counts):
-        return ParityCertificate(basis_count=len(bases),
-                                 incidence_counts=tuple(counts))
-    return None
+        try:
+            entries = tuple(b)
+        except TypeError:
+            entries = (None,)  # not a sequence: refused below
+        mask = 0
+        for v in entries:
+            if _is_int(v) and 0 <= v < g.n:
+                mask |= 1 << int(v)
+        # an entry that is not a vertex, or a repeated one, adds no new bit
+        if mask.bit_count() != len(entries):
+            raise InvalidInput(
+                f"basis {b!r} must list distinct vertices in range({g.n})")
+        masks.append(mask)
+    return masks
+
+
+def _parity_certificate(basis_masks: list[int],
+                        n: int) -> ParityCertificate | None:
+    """The certificate when the basis count is odd and every vertex lies in
+    an even number of bases, that is when the basis masks XOR to zero."""
+    if len(basis_masks) % 2 == 0 or functools.reduce(operator.xor,
+                                                      basis_masks):
+        return None
+    counts = tuple(sum(b >> v & 1 for b in basis_masks) for v in range(n))
+    return ParityCertificate(basis_count=len(basis_masks),
+                             incidence_counts=counts)
 
 
 def ks_solve(g: OrthoGraph, bases=None) -> KSVerdict:
@@ -141,14 +183,13 @@ def ks_solve(g: OrthoGraph, bases=None) -> KSVerdict:
     The parity certificate is attempted before any search, since it is a
     complete proof on its own; otherwise the exhaustive backtracking either
     produces the first witness in deterministic branch order or proves
-    impossibility by exhaustion.
+    impossibility by exhaustion.  bases defaults to complete_bases(g).
     """
-    if bases is None:
-        bases = complete_bases(g)
-    cert = _parity_certificate(bases, g.n)
+    masks = _basis_masks(g, complete_bases(g) if bases is None else bases)
+    cert = _parity_certificate(masks, g.n)
     if cert is not None:
         return KSVerdict(colorable=False, certificate=cert)
-    searcher = _Searcher(g, bases)
+    searcher = _Searcher(g, masks)
     if searcher.search(limit=1):
         return KSVerdict(colorable=True, witness=searcher.witness)
     return KSVerdict(colorable=False,
@@ -161,17 +202,18 @@ def verify_coloring(g: OrthoGraph, bases, coloring):
     Violations are reported as ("edge", (i, j)) for the first Red-Red edge in
     (i, j) lexicographic order, then ("basis", k) for the first basis whose
     Red count differs from one.  A coloring that does not give each vertex a
-    Color raises InvalidInput.
+    Color, or a basis that is not distinct vertices, raises InvalidInput.
     """
+    masks = _basis_masks(g, bases)
     colors = list(coloring)
     if len(colors) != g.n or not all(isinstance(c, Color) for c in colors):
         raise InvalidInput("coloring must be total over the vertices")
     for i, j in g.edges:
         if colors[i] is Color.RED and colors[j] is Color.RED:
             return False, ("edge", (i, j))
-    for k, b in enumerate(bases):
-        reds = sum(1 for v in b if colors[v] is Color.RED)
-        if reds != 1:
+    red = sum(1 << v for v, c in enumerate(colors) if c is Color.RED)
+    for k, b in enumerate(masks):
+        if (b & red).bit_count() != 1:
             return False, ("basis", k)
     return True, None
 
@@ -182,14 +224,16 @@ COUNT_GUARD = 36
 def count_colorings(g: OrthoGraph, bases=None) -> int:
     """Exact number of valid total colorings, by counting backtracking.
 
-    Vertices with no edges and no basis membership are unconstrained: they
-    are pre-colored Green and factored out as a power of two.
+    A parity certificate means none.  Vertices with no edges and no basis
+    membership are unconstrained: they are pre-colored Green and factored
+    out as a power of two.  bases defaults to complete_bases(g).
     """
     if g.n > COUNT_GUARD:
         raise InvalidInput(f"{g.n} vertices exceeds the guard of {COUNT_GUARD}")
-    if bases is None:
-        bases = complete_bases(g)
-    searcher = _Searcher(g, bases)
+    masks = _basis_masks(g, complete_bases(g) if bases is None else bases)
+    if _parity_certificate(masks, g.n) is not None:
+        return 0
+    searcher = _Searcher(g, masks)
     free = sum(1 << v for v in range(g.n)
                if not searcher.nbrs[v] and not searcher.in_bases[v])
     return searcher.search(green=free) * 2 ** free.bit_count()

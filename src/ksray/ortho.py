@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 
@@ -24,7 +24,9 @@ class OrthoGraph:
 
     adjacency is a symmetric boolean matrix with a false diagonal; an edge
     means the two rays are orthogonal.  Graphs compare and hash by identity;
-    compare values with np.array_equal on adjacency.
+    compare values with np.array_equal on adjacency.  A writable adjacency is
+    replaced by a read-only copy, so the neighbour masks cached from it
+    cannot go stale.
     """
 
     n: int
@@ -35,6 +37,10 @@ class OrthoGraph:
     def __post_init__(self):
         _check_dim(self.dimension, "dimension")
         a = self.adjacency
+        if a.flags.writeable or a.base is not None:
+            a = a.copy()
+            a.setflags(write=False)
+            object.__setattr__(self, "adjacency", a)
         if a.shape != (self.n, self.n):
             raise InvalidInput("adjacency shape mismatch")
         if not np.array_equal(a, a.T):
@@ -48,6 +54,14 @@ class OrthoGraph:
     def edges(self) -> list[tuple[int, int]]:
         i, j = np.nonzero(np.triu(self.adjacency, 1))
         return list(zip(i.tolist(), j.tolist()))
+
+    @functools.cached_property
+    def _neighbor_masks(self) -> tuple[int, ...]:
+        """Adjacency rows as ints, built once per graph: bit u of entry v is
+        set when u ~ v."""
+        rows = np.packbits(self.adjacency.astype(bool, copy=False), axis=1,
+                           bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
 def ortho_graph(rs: RaySet) -> OrthoGraph:
@@ -94,13 +108,6 @@ def cycle_graph(n: int) -> OrthoGraph:
 # cliques and bases
 
 
-def _neighbor_masks(g: OrthoGraph) -> list[int]:
-    """Adjacency rows as ints: bit u of entry v is set when u ~ v."""
-    rows = np.packbits(g.adjacency.astype(bool, copy=False), axis=1,
-                       bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
 def _bits(mask: int):
     """The set bits of mask, lowest first."""
     while mask:
@@ -117,7 +124,7 @@ def maximal_cliques(g: OrthoGraph) -> list[tuple[int, ...]]:
     index on ties, so the recursion itself is deterministic even before the
     final sort.
     """
-    nbrs = _neighbor_masks(g)
+    nbrs = g._neighbor_masks
     out: list[tuple[int, ...]] = []
 
     def extend(clique: int, cand: int, excl: int) -> None:
@@ -136,14 +143,29 @@ def maximal_cliques(g: OrthoGraph) -> list[tuple[int, ...]]:
 
 
 def complete_bases(g: OrthoGraph) -> list[tuple[int, ...]]:
-    """All cliques of size exactly g.dimension: the complete measurements."""
-    d = g.dimension
-    seen: set[tuple[int, ...]] = set()
-    for clique in maximal_cliques(g):
-        if len(clique) >= d:
-            for sub in itertools.combinations(clique, d):
-                seen.add(sub)
-    return sorted(seen)
+    """All cliques of size exactly g.dimension, the complete measurements, in
+    lexicographic order.
+
+    Each clique grows by its candidates lowest first, and a candidate must
+    be a common neighbour above every vertex already taken, so every
+    d-clique is reached once and already in order.  A branch stops once too
+    few candidates remain to fill it.
+    """
+    d, nbrs = g.dimension, g._neighbor_masks
+    out: list[tuple[int, ...]] = []
+
+    def extend(clique: tuple[int, ...], cand: int) -> None:
+        if len(clique) == d:
+            out.append(clique)
+            return
+        while cand.bit_count() >= d - len(clique):
+            low = cand & -cand
+            v = low.bit_length() - 1
+            extend(clique + (v,), cand & nbrs[v] & -(low << 1))
+            cand ^= low
+
+    extend((), (1 << g.n) - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

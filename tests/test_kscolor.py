@@ -1,13 +1,16 @@
+import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ksray import (
-    Color, ExhaustionProof, InvalidInput, ParityCertificate, ceg18,
-    complete_bases, count_colorings, cube13, cycle_graph, from_edges, kcbs5,
-    ks_solve, ortho_graph, peres24, stream_rng, three_cubes, verify_coloring,
+    Color, ExhaustionProof, InvalidInput, OrthoGraph, ParityCertificate,
+    ceg18, complete_bases, count_colorings, cube13, cycle_graph, from_edges,
+    kcbs5, ks_solve, ortho_graph, peres24, stream_rng, three_cubes,
+    verify_coloring,
 )
 
 R, G = Color.RED, Color.GREEN
@@ -23,6 +26,29 @@ def brute_count(g, bases):
             continue
         total += 1
     return total
+
+
+def numpy_count(g, bases):
+    """Oracle: test all 2^n total colorings at once, coloring k making
+    vertex v Red when bit v of k is set."""
+    k = np.arange(2 ** g.n, dtype=np.uint32)
+    ok = np.ones(k.size, dtype=bool)
+    for i, j in g.edges:
+        pair = np.uint32(1 << i | 1 << j)
+        ok &= (k & pair) != pair
+    for b in bases:
+        reds = k & np.uint32(sum(1 << v for v in b))
+        ok &= (reds != 0) & ((reds & (reds - np.uint32(1))) == 0)
+    return int(ok.sum())
+
+
+def deletions(g, k):
+    """Every graph left when k rays, that is k vertices, are deleted."""
+    for gone in itertools.combinations(range(g.n), k):
+        keep = [v for v in range(g.n) if v not in gone]
+        yield OrthoGraph(n=len(keep), adjacency=g.adjacency[np.ix_(keep, keep)],
+                         dimension=g.dimension,
+                         vertex_labels=tuple(g.vertex_labels[v] for v in keep))
 
 
 # --- verify_coloring --------------------------------------------------------
@@ -55,6 +81,29 @@ def test_verify_refuses_what_is_not_a_total_coloring(coloring):
     with pytest.raises(InvalidInput,
                        match="coloring must be total over the vertices"):
         verify_coloring(cycle_graph(5), [], coloring)
+
+
+MALFORMED_BASES = [(0, 99, 1), (0, -1, 2), (0.5, 1, 2), (0, 0, 1), (True, 2, 3),
+                   5, "012"]
+
+
+@pytest.mark.parametrize("basis", MALFORMED_BASES,
+                         ids=["past-n", "negative", "float", "repeated",
+                              "bool", "not-a-sequence", "string"])
+@pytest.mark.parametrize("call", [
+    ks_solve, count_colorings,
+    lambda g, bases: verify_coloring(g, bases, [G] * g.n),
+], ids=["ks_solve", "count_colorings", "verify_coloring"])
+def test_malformed_bases_refused(call, basis):
+    with pytest.raises(InvalidInput, match=re.escape(f"basis {basis!r} ")):
+        call(ortho_graph(cube13()), [(0, 1, 2), basis])
+
+
+def test_numpy_integer_bases_accepted():
+    g = ortho_graph(cube13())
+    bases = np.array(complete_bases(g))
+    assert count_colorings(g, bases) == 24
+    assert ks_solve(g, bases) == ks_solve(g)
 
 
 # --- ks_solve ---------------------------------------------------------------
@@ -171,6 +220,19 @@ def test_count_guard():
         count_colorings(from_edges(37, [], 3), [])
 
 
+def test_count_ceg18_deletions_against_numpy():
+    # every one- and two-ray deletion of ceg18: 18 + 153 graphs of 17 and
+    # 16 vertices, each counted over all 2^n colorings at once
+    g18 = ortho_graph(ceg18())
+    graphs = [g for k in (1, 2) for g in deletions(g18, k)]
+    assert len(graphs) == 171
+    for g in graphs:
+        bases = complete_bases(g)
+        count = count_colorings(g, bases)
+        assert count == numpy_count(g, bases)
+        assert ks_solve(g, bases).colorable == (count > 0)
+
+
 def test_solve_iff_count_positive():
     for rs in (cube13(), kcbs5(), ceg18(), peres24(), three_cubes(0.0)):
         g = ortho_graph(rs)
@@ -193,6 +255,31 @@ def test_pinned_witnesses_and_certificates():
         ExhaustionProof(nodes_explored=15)
     assert isinstance(ks_solve(ortho_graph(ceg18())).certificate,
                       ParityCertificate)
+
+
+def _tree_pin(graphs):
+    """Sum of nodes_explored and a digest of every witness word, which
+    together fix the search tree of ks_solve on each graph."""
+    nodes, words = 0, []
+    for g in graphs:
+        verdict = ks_solve(g)
+        if verdict.colorable:
+            words.append(_word(verdict.witness))
+        else:
+            words.append(type(verdict.certificate).__name__)
+            if isinstance(verdict.certificate, ExhaustionProof):
+                nodes += verdict.certificate.nodes_explored
+    return nodes, hashlib.sha256("\n".join(words).encode()).hexdigest()[:16]
+
+
+def test_pinned_search_trees_on_deletions():
+    g18 = ortho_graph(ceg18())
+    assert _tree_pin(deletions(ortho_graph(peres24()), 1)) == \
+        (376, "b2e525e79d2a4356")
+    assert _tree_pin(deletions(ortho_graph(three_cubes(0.0)), 1)) == \
+        (0, "f387fe48d0adfdc8")
+    assert _tree_pin(g for k in (1, 2) for g in deletions(g18, k)) == \
+        (0, "597733e7b29c980a")
 
 
 def test_pinned_counts():

@@ -119,15 +119,53 @@ def test_catalog_cliques_respect_dimension():
         assert max(len(c) for c in maximal_cliques(g)) <= g.dimension
 
 
+def brute_bases(g):
+    """Oracle: every d-subset of the vertices that is a clique, in order."""
+    return [c for c in itertools.combinations(range(g.n), g.dimension)
+            if all(g.adjacency[a, b] for a, b in itertools.combinations(c, 2))]
+
+
 def test_complete_bases_are_exactly_the_full_size_cliques():
     # cross-check against direct subset enumeration on every catalog set
     for rs in (cube13(), peres24(), ceg18(), kcbs5(), three_cubes(0.0)):
         g = ortho_graph(rs)
-        d = g.dimension
-        brute = [c for c in itertools.combinations(range(g.n), d)
-                 if all(g.adjacency[a, b]
-                        for a, b in itertools.combinations(c, 2))]
-        assert complete_bases(g) == brute
+        assert complete_bases(g) == brute_bases(g)
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_complete_bases_where_cliques_exceed_the_dimension(k):
+    # dense G(n, p) in dimensions 2-5: every graph here holds a clique
+    # larger than d, each of whose d-subsets is a basis
+    d = 2 + k % 4
+    rng = stream_rng(2718, k)
+    n = int(rng.integers(10, 17))
+    adj = np.triu(rng.random((n, n)) < 0.75, 1)
+    g = from_edges(n, list(zip(*np.nonzero(adj))), dimension=d)
+    assert max(map(len, maximal_cliques(g))) > d
+    assert complete_bases(g) == brute_bases(g)
+
+
+def test_complete_bases_k5_in_dimension_3():
+    g = from_edges(5, itertools.combinations(range(5), 2), 3)
+    assert complete_bases(g) == list(itertools.combinations(range(5), 3))
+    assert len(complete_bases(g)) == 10
+
+
+def test_adjacency_is_copied_when_it_could_change():
+    # the neighbour masks are cached per graph, so a later write to the
+    # caller's array must not reach the graph
+    adj = np.zeros((3, 3), dtype=bool)
+    view = adj.view()
+    view.setflags(write=False)
+    graphs = [OrthoGraph(n=3, adjacency=a, dimension=2,
+                         vertex_labels=("a", "b", "c")) for a in (adj, view)]
+    adj[0, 1] = adj[1, 0] = True
+    for g in graphs:
+        assert not g.adjacency.flags.writeable and not g.adjacency.any()
+        assert g._neighbor_masks == (0, 0, 0)
+        assert complete_bases(g) == []
+    g = ortho_graph(cube13())
+    assert g._neighbor_masks is g._neighbor_masks
 
 
 # Peres's six bases of peres24, by label, in two unbiased triples: the
