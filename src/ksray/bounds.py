@@ -52,23 +52,25 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
             if size > best_size:
                 best_size, best_mask = size, current
             return
-        # greedy coloring of the candidates; color index bounds the clique
+        # greedy coloring of the candidates, one class at a time: the lowest
+        # uncoloured candidate, then the next one outside its neighbourhood
+        # in comp, and so on; a vertex of class k bounds the clique by k
         classes: list[int] = []
-        color: dict[int, int] = {}
-        for v in _bits(cand):
-            for ci, cmask in enumerate(classes):
-                if not (cmask & comp[v]):
-                    classes[ci] |= 1 << v
-                    color[v] = ci + 1
-                    break
-            else:
-                classes.append(1 << v)
-                color[v] = len(classes)
-        for v in sorted(color, key=lambda u: (-color[u], u)):
-            if size + color[v] <= best_size:
-                return
-            expand(current | (1 << v), size + 1, cand & comp[v])
-            cand &= ~(1 << v)
+        rest = cand
+        while rest:
+            cls, free = 0, rest
+            while free:
+                low = free & -free
+                cls |= low
+                free = (free ^ low) & ~comp[low.bit_length() - 1]
+            classes.append(cls)
+            rest ^= cls
+        for k in range(len(classes), 0, -1):
+            for v in _bits(classes[k - 1]):
+                if size + k <= best_size:
+                    return
+                expand(current | (1 << v), size + 1, cand & comp[v])
+                cand &= ~(1 << v)
 
     expand(0, 0, full)
     witness = tuple(_bits(best_mask))

@@ -16,17 +16,18 @@ from .rng import gaussian_rows, stream_rng
 ORTHO_TOL = 1e-9  # |<r_i, r_j>| below this is an edge
 MAX_STEPS = 200  # Levenberg-Marquardt steps per realize start
 RESTARTS = 8  # realize starts before NumericalFailure
+ZERO_ROW = 1e-6  # squared norm below which realize redraws a collapsed row
 
 
 @dataclass(frozen=True, eq=False)
 class OrthoGraph:
     """Simple undirected graph on rays, with the ambient Hilbert dimension.
 
-    adjacency is a symmetric boolean matrix with a false diagonal; an edge
-    means the two rays are orthogonal.  Graphs compare and hash by identity;
-    compare values with np.array_equal on adjacency.  A writable adjacency is
-    replaced by a read-only copy, so the neighbour masks cached from it
-    cannot go stale.
+    adjacency is a symmetric 2-D boolean array with a false diagonal; an
+    edge means the two rays are orthogonal.  Graphs compare and hash by
+    identity; compare values with np.array_equal on adjacency.  A writable
+    adjacency is replaced by a read-only copy, so the neighbour masks cached
+    from it cannot go stale.
     """
 
     n: int
@@ -36,7 +37,9 @@ class OrthoGraph:
 
     def __post_init__(self):
         _check_dim(self.dimension, "dimension")
-        a = self.adjacency
+        a = np.asarray(self.adjacency)
+        if a.dtype != bool or a.ndim != 2:
+            raise InvalidInput("adjacency must be a 2-D boolean array")
         if a.flags.writeable or a.base is not None:
             a = a.copy()
             a.setflags(write=False)
@@ -59,8 +62,7 @@ class OrthoGraph:
     def _neighbor_masks(self) -> tuple[int, ...]:
         """Adjacency rows as ints, built once per graph: bit u of entry v is
         set when u ~ v."""
-        rows = np.packbits(self.adjacency.astype(bool, copy=False), axis=1,
-                           bitorder="little")
+        rows = np.packbits(self.adjacency, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
@@ -193,9 +195,13 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
     residual seen as its gap; it is a heuristic failure, not a proof of
     non-realizability.
 
-    In the real field about one start in five stalls with some vectors
-    shrunk towards zero, and more steps do not rescue it, so restart k of
-    RESTARTS starts afresh from the substream stream_rng(seed, k); the
+    A start can stall with some vectors shrunk to zero and every other
+    residual met: a zero row is a stationary point of every residual it
+    enters.  So after each step that lowers r.r, every row whose squared
+    norm is below ZERO_ROW is redrawn in place from the start's own stream,
+    and lam is reset to 1e-3; a start makes at most d such repairs, so an
+    unrealizable graph that keeps collapsing a row still ends.  Restart k
+    of RESTARTS starts afresh from the substream stream_rng(seed, k); the
     first success by restart index wins.  d must be an integer >= 2, and
     a graph with no vertices raises InvalidInput.
     """
@@ -210,6 +216,7 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
     # every residual is a quadratic form plus a constant, so by Euler's
     # theorem r = (J x - offset) / 2, with offset 1 on the vertex rows
     offset = np.repeat([0.0, 1.0], [(2 if complex_ else 1) * len(i), n])
+    collapsed = (ZERO_ROW - 1) / 2  # vertex residual (|v|^2 - 1)/2 at ZERO_ROW
     best_res = np.inf
 
     def jacobian(X: np.ndarray) -> np.ndarray:
@@ -221,26 +228,41 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
         jac[len(offset) - n + np.arange(n), np.arange(n)] = X
         return jac.reshape(len(offset), -1)
 
-    def solve(X: np.ndarray) -> tuple[np.ndarray, float]:
-        x, lam = X.ravel(), 1e-3
+    def draw(rng, k: int) -> np.ndarray:
+        """k more Gaussian rows from rng, stored as reals."""
+        V = gaussian_rows(rng, k, d, field)
+        return np.hstack([V.real, V.imag]) if complex_ else V
+
+    def solve(rng, X: np.ndarray) -> tuple[np.ndarray, float]:
+        x, lam, repairs, normal = X.ravel(), 1e-3, 0, None
         jac = jacobian(X)
         r = (jac @ x - offset) / 2
         for _ in range(MAX_STEPS):
             if r @ r < 1e-28 or lam > 1e12:
                 break
-            y = x - np.linalg.solve(jac.T @ jac + lam * np.eye(x.size),
-                                    jac.T @ r)
+            if normal is None:  # J and r change only when a step is taken
+                normal = jac.T @ jac, jac.T @ r
+            y = x - np.linalg.solve(normal[0] + lam * np.eye(x.size),
+                                    normal[1])
             jac_y = jacobian(y.reshape(X.shape))
             r_y = (jac_y @ y - offset) / 2
-            if r_y @ r_y < r @ r:
-                x, jac, r, lam = y, jac_y, r_y, max(lam / 3, 1e-12)
-            else:
+            if not r_y @ r_y < r @ r:
                 lam *= 4
+                continue
+            x, jac, r, normal = y, jac_y, r_y, None
+            lam = max(lam / 3, 1e-12)
+            if repairs < d and r[-n:].min() < collapsed:
+                repairs += 1
+                rows = x.reshape(X.shape)
+                zero = np.flatnonzero(r[-n:] < collapsed)
+                rows[zero] = draw(rng, zero.size)
+                jac, lam = jacobian(rows), 1e-3
+                r = (jac @ x - offset) / 2
         return x.reshape(X.shape), float(r @ r)
 
     for attempt in range(RESTARTS):
-        V = gaussian_rows(stream_rng(seed, attempt), n, d, field)
-        X, res = solve(np.hstack([V.real, V.imag]) if complex_ else V)
+        rng = stream_rng(seed, attempt)
+        X, res = solve(rng, draw(rng, n))
         best_res = min(best_res, res)
         if res < 1e-10:
             try:

@@ -62,6 +62,51 @@ def test_alpha_random_graphs(seed):
     assert alpha == brute_alpha(g)
 
 
+def first_fit_alpha(g):
+    """Oracle: the same branch and bound with the coloring bound built
+    vertex by vertex, each candidate in index order going to the first
+    class that holds none of its neighbours in the complement."""
+    full = (1 << g.n) - 1
+    comp = [full & ~nbrs & ~(1 << v)
+            for v, nbrs in enumerate(g._neighbor_masks)]
+    best = [0, 0]
+
+    def expand(current, size, cand):
+        if cand == 0:
+            if size > best[0]:
+                best[:] = size, current
+            return
+        classes, color = [], {}
+        for v in (u for u in range(g.n) if cand >> u & 1):
+            for ci, cmask in enumerate(classes):
+                if not cmask & comp[v]:
+                    classes[ci] |= 1 << v
+                    color[v] = ci + 1
+                    break
+            else:
+                classes.append(1 << v)
+                color[v] = len(classes)
+        for v in sorted(color, key=lambda u: (-color[u], u)):
+            if size + color[v] <= best[0]:
+                return
+            expand(current | 1 << v, size + 1, cand & comp[v])
+            cand &= ~(1 << v)
+
+    expand(0, 0, full)
+    return best[0], tuple(v for v in range(g.n) if best[1] >> v & 1)
+
+
+@pytest.mark.parametrize("k", range(200))
+def test_alpha_and_witness_match_first_fit_coloring(k):
+    # the class-at-a-time coloring gives the first-fit classes, so the
+    # branch order, alpha and the witness are all unchanged
+    rng = stream_rng(1931, k)
+    n, p = int(rng.integers(2, 33)), float(rng.uniform(0.05, 0.7))
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    g = from_edges(n, list(zip(*np.nonzero(adj))), dimension=3)
+    assert independence_number(g) == first_fit_alpha(g)
+
+
 @pytest.mark.parametrize("n,p,isolated", [
     (n, p, isolated) for n in (8, 24, 40, 64) for p in (0.15, 0.3, 0.5)
     for isolated in (0, 3)])

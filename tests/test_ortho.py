@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -13,7 +14,9 @@ from ksray import (
     from_edges, graph_to_json, kcbs5, maximal_cliques, ortho_graph, peres24,
     realize, stream_rng, three_cubes, build_rayset, ks_solve,
 )
+from ksray import ortho
 from ksray.cli import run
+from ksray.rng import gaussian_rows
 
 
 def brute_maximal_cliques(g):
@@ -238,25 +241,90 @@ SWEEP_SETS = {
 }
 
 
-def _assert_realizes(g, field, seeds):
-    # every requested edge and no other: the adjacency matches exactly
+# how many seeds of the sweep may need a second start: with stalled starts
+# repaired in place, 1 of the 250 real-field (graph, seed) pairs and none of
+# the 250 complex ones do (three_cubes at both phases is one graph)
+RESTARTED = {("peres24", "real"): 1}
+
+
+def _count_starts(monkeypatch):
+    """The restart index of every start realize makes from now on."""
+    starts = []
+
+    def counting(seed, stream):
+        starts.append(stream)
+        return stream_rng(seed, stream)
+
+    monkeypatch.setattr(ortho, "stream_rng", counting)
+    return starts
+
+
+def _assert_realizes(g, field, seeds, monkeypatch):
+    # every requested edge and no other: the adjacency matches exactly;
+    # returns how many seeds needed a second start
     colorable = ks_solve(g, complete_bases(g)).colorable
+    starts = _count_starts(monkeypatch)
     for seed in seeds:
         realized = ortho_graph(realize(g, g.dimension, seed, field=field))
         assert np.array_equal(realized.adjacency, g.adjacency)
         verdict = ks_solve(realized, complete_bases(realized))
         assert verdict.colorable == colorable
+    return starts.count(1)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("name", SWEEP_SETS)
-def test_realize_catalog_graphs_on_50_seeds(name, field):
-    _assert_realizes(ortho_graph(SWEEP_SETS[name]()), field, range(50))
+def test_realize_catalog_graphs_on_50_seeds(name, field, monkeypatch):
+    restarted = _assert_realizes(ortho_graph(SWEEP_SETS[name]()), field,
+                                 range(50), monkeypatch)
+    assert restarted <= RESTARTED.get((name, field), 0)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_realize_three_cubes_first_ten_seeds(field):
-    _assert_realizes(ortho_graph(three_cubes(0.0)), field, range(10))
+def test_realize_three_cubes_first_ten_seeds(field, monkeypatch):
+    _assert_realizes(ortho_graph(three_cubes(0.0)), field, range(10),
+                     monkeypatch)
+
+
+@pytest.mark.parametrize("g,field", [(ortho_graph(cube13()), "real"),
+                                     (cycle_graph(5), "complex")],
+                         ids=["cube13-real", "c5-complex"])
+def test_realize_redraws_a_zero_row_in_place(g, field, monkeypatch):
+    # a zero row is stationary for every residual it enters, so without a
+    # repair the first start stalls and realize restarts
+    draws = []
+
+    def first_row_zero(rng, n, d, field):
+        rows = gaussian_rows(rng, n, d, field)
+        if not draws:
+            rows[0] = 0
+        draws.append(n)
+        return rows
+
+    monkeypatch.setattr(ortho, "gaussian_rows", first_row_zero)
+    starts = _count_starts(monkeypatch)
+    rs = realize(g, g.dimension, seed=0, field=field)
+    assert starts == [0]
+    assert draws[:2] == [g.n, 1]
+    M = rs.matrix
+    assert sum(abs(np.vdot(M[i], M[j])) ** 2 for i, j in g.edges) < 1e-10
+
+
+def test_realize_repairs_a_start_at_most_d_times(monkeypatch):
+    # C5 has no realization in d = 2 and keeps collapsing a row: each start
+    # draws its rows once and then makes at most d repairs
+    starts, draws = _count_starts(monkeypatch), []
+
+    def logged(*args):
+        draws.append(len(starts))
+        return gaussian_rows(*args)
+
+    monkeypatch.setattr(ortho, "gaussian_rows", logged)
+    with pytest.raises(NumericalFailure):
+        realize(cycle_graph(5), 2, seed=0)
+    per_start = collections.Counter(draws)
+    assert len(per_start) == ortho.RESTARTS
+    assert max(per_start.values()) == 1 + 2
 
 
 def test_realize_failure_is_a_numerical_failure():
@@ -325,11 +393,26 @@ EMPTY_SET = RaySet(dimension=3, field="real",
      "vertex labels must number n"),
     (lambda: from_edges(3, [(1, 1)], 3), "self loop"),
     (lambda: ortho_graph(EMPTY_SET), "empty ray set"),
+    (lambda: OrthoGraph(2, [[0, 1], [1, 0]], 3, ("a", "b")),
+     "adjacency must be a 2-D boolean array"),
+    (lambda: OrthoGraph(2, [[0, 0.5], [0.5, 0]], 3, ("a", "b")),
+     "adjacency must be a 2-D boolean array"),
+    (lambda: OrthoGraph(2, np.array([[0, 2], [2, 0]]), 3, ("a", "b")),
+     "adjacency must be a 2-D boolean array"),
+    (lambda: OrthoGraph(2, np.zeros((2, 2, 1), dtype=bool), 3, ("a", "b")),
+     "adjacency must be a 2-D boolean array"),
 ], ids=["shape", "asymmetric", "diagonal", "few-labels", "many-labels",
-        "self-loop", "empty-set"])
+        "self-loop", "empty-set", "int-list", "float", "int", "3-D"])
 def test_graph_refusals(make, message):
     with pytest.raises(InvalidInput, match=message):
         make()
+
+
+def test_boolean_list_adjacency_is_a_graph():
+    g = OrthoGraph(2, [[False, True], [True, False]], 3, ("a", "b"))
+    assert isinstance(g.adjacency, np.ndarray)
+    assert not g.adjacency.flags.writeable
+    assert g.edges == [(0, 1)] and g._neighbor_masks == (2, 1)
 
 
 # --- exchange format --------------------------------------------------------
