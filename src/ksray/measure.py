@@ -22,7 +22,10 @@ The basis measures classify each member of a Haar basis by its first
 coordinate.  Those d first coordinates are the first row of a Haar unitary,
 which by transpose invariance is itself a uniform ray, so the Monte Carlo
 draws rays, not bases; the tests check the reduction against whole Haar
-bases.  A ray is a canonical row, as returned by `canonicalize`.
+bases.  Each chunk's coordinate weights are formed as one C-ordered
+(d, size) array, so the counts over the d coordinates of a ray reduce along
+contiguous rows of length size.  A ray is a canonical row, as returned by
+`canonicalize`.
 """
 
 from __future__ import annotations
@@ -158,9 +161,12 @@ def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
 
 
 def _weights(g: np.ndarray) -> np.ndarray:
-    """p_j = |g_j|^2 / sum |g_j|^2 of every coordinate of Gaussian rows."""
-    p = np.abs(g) ** 2
-    return p / p.sum(axis=1, keepdims=True)
+    """p_j = |g_j|^2 / sum |g_j|^2 of Gaussian rows g, as a C-ordered
+    (d, rows) array: each reduction over coordinates runs along long rows."""
+    p = np.abs(g.T, order="C")
+    p *= p
+    p /= p.sum(axis=0)
+    return p
 
 
 def _region_masks(field: str, d: int, samples: int, seed: int):
@@ -191,7 +197,7 @@ def mc_colored_fraction(field: str, d: int, samples: int,
         head = rng.standard_gamma(a, size)
         rest = rng.standard_gamma(a * (d - 1), size)
         red, green = rc.masks(head / (head + rest))
-        colored += int((red | green).sum())
+        colored += int(np.count_nonzero(red | green))
     return _proportion(colored, samples, seed)
 
 
@@ -210,9 +216,9 @@ def region_validity_mc(field: str, d: int, samples: int,
     both_red = 0
     all_green = 0
     for red, green in _region_masks(field, d, samples, seed):
-        reds = red.sum(axis=1)
+        reds = np.count_nonzero(red, axis=0)
         both_red += int((reds * (reds - 1) // 2).sum())
-        all_green += int(green.all(axis=1).sum())
+        all_green += int(np.count_nonzero(green.all(axis=0)))
     return both_red, all_green
 
 
@@ -228,10 +234,10 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     _check_dim(d, "d")
     full = 0
     for red, green in _region_masks(REAL, d, samples, seed):
-        fully = (red | green).all(axis=1)
-        if not np.all(red[fully].sum(axis=1) == 1):
+        fully = (red | green).all(axis=0)
+        if np.any(fully & (np.count_nonzero(red, axis=0) != 1)):
             raise AssertionError("fully colored basis without exactly one Red")
-        full += int(fully.sum())
+        full += int(np.count_nonzero(fully))
     return _proportion(full, samples, seed)
 
 
@@ -283,6 +289,15 @@ def _quadrant(phi_a, phi_b):
     return (phi_a >= math.pi) * 2 + (phi_b >= math.pi)
 
 
+def _flip(phi):
+    """phi + pi wrapped into [0, 2 pi), the orthogonal partner's phase; for
+    t = phi + pi in [2 pi, 3 pi), t - 2 pi is exact (Sterbenz), so this is
+    np.mod(phi + pi, 2 pi) bit for bit."""
+    t = phi + math.pi
+    t -= TWO_PI * (t >= TWO_PI)  # t - 0.0 is t itself
+    return t
+
+
 def separable_quadrant(s: SeparableState) -> Quadrant:
     """Quadrant by (phi_a, phi_b) half-interval membership."""
     return tuple(Quadrant)[_quadrant(s.phi_a, s.phi_b)]
@@ -314,10 +329,11 @@ def separable_validity_mc(samples: int, seed: int) -> int:
     for rng, size in chunks(seed, samples):
         phi = rng.uniform(0.0, TWO_PI, size=(size, 2))
         chi_phi = rng.uniform(0.0, TWO_PI, size=(size, 2))
-        flip = np.mod(phi + math.pi, TWO_PI)
+        flip = _flip(phi)
         quad = _quadrant(phi[:, 0], phi[:, 1])
-        violations += int((quad == _quadrant(flip[:, 0], chi_phi[:, 0])).sum())
-        violations += int((quad == _quadrant(chi_phi[:, 1], flip[:, 1])).sum())
+        same_a = quad == _quadrant(flip[:, 0], chi_phi[:, 0])
+        same_b = quad == _quadrant(chi_phi[:, 1], flip[:, 1])
+        violations += int(np.count_nonzero(same_a) + np.count_nonzero(same_b))
     return violations
 
 

@@ -135,22 +135,27 @@ def platter_simulate(strategy, trials: int, seed: int) -> PlatterOutcome:
     elif isinstance(strategy, QuantumStrategy):
         name = "quantum"
         probs = strategy.probabilities()
+        after = np.roll(probs, -1)  # cup k + 1, the second cup of edge k
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
 
-    edges = np.zeros(5, dtype=np.int64)  # draws of edge (k, k+1)
-    hits = np.zeros(5, dtype=np.int64)
+    # tally[5 h + k]: draws of edge (k, k+1) with hit pattern h, where bit 0
+    # is a hit in cup k and bit 1 a hit in cup k + 1 (quantum only)
+    tally = np.zeros(20, dtype=np.int64)
     for rng, size in parts:
         draws = rng.integers(0, 5, size=size)
-        edges += np.bincount(draws, minlength=5)
         if name == "quantum":
             u = rng.random((size, 2))
-            second = (draws + 1) % 5
-            hits += np.bincount(draws[u[:, 0] < probs[draws]], minlength=5)
-            hits += np.bincount(second[u[:, 1] < probs[second]], minlength=5)
+            draws += (5 * (u[:, 0] < probs[draws])
+                      + 10 * (u[:, 1] < after[draws]))
+        tally += np.bincount(draws, minlength=20)
+    tally = tally.reshape(4, 5)
+    edges = tally.sum(axis=0)
 
     obs = edges + np.roll(edges, 1)  # cup k is opened by edges k and k - 1
-    if name == "classical":
+    if name == "quantum":
+        hits = tally[1] + tally[3] + np.roll(tally[2] + tally[3], 1)
+    elif name == "classical":
         hits = np.array(strategy.assignment) * obs
     elif name == "conspiratorial":
         hits = edges  # the stone sits under the first cup of the drawn pair

@@ -382,22 +382,41 @@ def test_region_validity(field, d):
     assert region_validity_mc(field, d, 20_000, seed=303) == (0, 0)
 
 
+def _row_weights(field, d, samples, seed, rows):
+    """Each chunk's coordinate weights |g_j / |g||^2, one row per ray."""
+    for k, size in enumerate(chunk_sizes(samples, rows)):
+        g = gaussian_rows(stream_rng(seed, k), size, d, field)
+        yield np.abs(g / np.linalg.norm(g, axis=1, keepdims=True)) ** 2
+
+
 def test_region_reductions_count_a_widened_band(monkeypatch):
-    # a negative band widens both regions (Red p > 0.3, Green p < 1/d + 0.2)
-    # so the reductions count non-zero events; an oracle recounts them
-    monkeypatch.setattr(measure, "BOUNDARY_TOL", -0.2)
+    # a negative band -w widens both regions (Red p > 1/2 - w, Green
+    # p < 1/d + w) so the reductions count non-zero events; an oracle
+    # recounts them row by row.  From d = 8 the sampler's sum down each
+    # coordinate column may round unlike numpy's pairwise row sum, and at
+    # d = 65 a chunk holds CHUNK * 64 // 65 rows.
     samples, seed = 70_000, 5  # a full chunk and a short last one
-    for field, d in ((REAL, 3), (COMPLEX, 4)):
-        both_red = all_green = 0
-        for k, size in enumerate(chunk_sizes(samples)):
-            g = gaussian_rows(stream_rng(seed, k), size, d, field)
-            p = np.abs(g / np.linalg.norm(g, axis=1, keepdims=True)) ** 2
-            reds = (p > 0.3).sum(axis=1)
+    for field, d, w in ((REAL, 3, 0.2), (COMPLEX, 4, 0.2),
+                        (REAL, 9, 0.2), (COMPLEX, 9, 0.2),
+                        (REAL, 65, 0.42), (COMPLEX, 65, 0.42)):
+        rows = CHUNK * 64 // max(d, 64)
+        both_red = all_green = full = 0
+        for p in _row_weights(field, d, samples, seed, rows):
+            reds = (p > 0.5 - w).sum(axis=1)
             both_red += int((reds * (reds - 1) // 2).sum())
-            all_green += int((p < 1 / d + 0.2).all(axis=1).sum())
+            all_green += int((p < 1 / d + w).all(axis=1).sum())
+            # a fully colored basis in the unwidened regions
+            full += int(((p > 0.5 + 1e-12) | (p < 1 / d - 1e-12))
+                        .all(axis=1).sum())
         assert both_red > 0 and all_green > 0
+        if field == REAL:
+            assert basis_colored_fraction_mc(d, samples, seed).value == (
+                full / samples)
+        monkeypatch.setattr(measure, "BOUNDARY_TOL", -w)
         assert region_validity_mc(field, d, samples, seed) == (both_red,
                                                                all_green)
+        monkeypatch.undo()
+    monkeypatch.setattr(measure, "BOUNDARY_TOL", -0.2)
     with pytest.raises(AssertionError, match="exactly one Red"):
         basis_colored_fraction_mc(3, samples, seed)
 
@@ -577,6 +596,18 @@ def test_quadrant_rule_elementwise():
     states = [SeparableState(1.0, x, 1.0, y) for x, y in zip(a, b)]
     want = [tuple(Quadrant).index(separable_quadrant(s)) for s in states]
     assert _quadrant(a, b).tolist() == want
+
+
+def test_phase_flip_is_mod_bit_for_bit():
+    # the edges of the wrap, then one full chunk of draws; int64 views tell
+    # -0.0 from 0.0
+    edges = np.array([0.0, math.nextafter(math.pi, 0.0), math.pi,
+                      math.nextafter(2 * math.pi, 0.0)])
+    drawn = stream_rng(616, 0).uniform(0.0, 2 * math.pi, (CHUNK, 2))
+    for phi in (edges, drawn):
+        want = np.mod(phi + math.pi, 2 * math.pi)
+        assert np.array_equal(measure._flip(phi).view(np.int64),
+                              want.view(np.int64))
 
 
 def test_orthogonal_partner_lands_in_other_quadrant():
