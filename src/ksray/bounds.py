@@ -216,10 +216,7 @@ def theta_certificate(g: OrthoGraph) -> ThetaCertificate:
         x = x + (-lam_min + 1e-15) * np.eye(n)
     x /= np.trace(x)
     lower = float(x.sum())
-    dual = ones.copy()
-    dual[ridx, cidx] -= y
-    dual[cidx, ridx] -= y
-    upper = float(np.linalg.eigvalsh(dual)[-1])
+    upper = float(np.linalg.eigvalsh(ones - adjoint(np.r_[0.0, y]))[-1])
     gap = upper - lower
     if gap > EPS:
         raise NumericalFailure(

@@ -80,7 +80,7 @@ def cmd_graph(args) -> str:
 
 def cmd_color(args) -> str:
     g = ortho.ortho_graph(_resolve_set(args))
-    verdict = kscolor.ks_solve(g, ortho.complete_bases(g))
+    verdict = kscolor.ks_solve(g)
     if verdict.colorable:
         row = " ".join(f"{lbl}={c.value}"
                        for lbl, c in zip(g.vertex_labels, verdict.witness))

@@ -224,16 +224,12 @@ COUNT_GUARD = 36
 def count_colorings(g: OrthoGraph, bases=None) -> int:
     """Exact number of valid total colorings, by counting backtracking.
 
-    A parity certificate means none.  Vertices with no edges and no basis
-    membership are unconstrained: they are pre-colored Green and factored
-    out as a power of two.  bases defaults to complete_bases(g).
+    A parity certificate means none; the memo answers the second branch of a
+    vertex in no edge and no basis.  bases defaults to complete_bases(g).
     """
     if g.n > COUNT_GUARD:
         raise InvalidInput(f"{g.n} vertices exceeds the guard of {COUNT_GUARD}")
     masks = _basis_masks(g, complete_bases(g) if bases is None else bases)
     if _parity_certificate(masks, g.n) is not None:
         return 0
-    searcher = _Searcher(g, masks)
-    free = sum(1 << v for v in range(g.n)
-               if not searcher.nbrs[v] and not searcher.in_bases[v])
-    return searcher.search(green=free) * 2 ** free.bit_count()
+    return _Searcher(g, masks).search()

@@ -326,8 +326,7 @@ def three_cubes(phi: float = 0.0) -> RaySet:
     first = _first_copies(np.abs(stacked.conj() @ stacked.T))
     keep = np.flatnonzero(first == np.arange(len(stacked)))
     labels = ["|".join(t for t, f in zip(tags, first) if f == k) for k in keep]
-    return build_rayset(stacked[keep].real if field == REAL else stacked[keep],
-                        field, labels)
+    return build_rayset(stacked[keep], field, labels)
 
 
 def cube_members(label: str) -> frozenset[str]:

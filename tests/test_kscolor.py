@@ -149,6 +149,18 @@ def test_single_triangle_basis():
     assert sum(1 for c in verdict.witness if c is R) == 1
 
 
+def test_two_reds_in_a_caller_basis():
+    # a caller's bases need not be cliques: no edge joins 1 and 2, so only
+    # the basis rule refuses G,R,R,R; four bases leave no parity certificate
+    g = from_edges(4, [], 2)
+    bases = [(0, 1), (0, 2), (1, 2), (0, 3)]
+    assert verify_coloring(g, bases, (G, R, R, R)) == (False, ("basis", 2))
+    verdict = ks_solve(g, bases)
+    assert not verdict.colorable
+    assert isinstance(verdict.certificate, ExhaustionProof)
+    assert count_colorings(g, bases) == 0
+
+
 def test_no_bases_means_colorable():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], dimension=3)
     verdict = ks_solve(g, [])
@@ -181,6 +193,8 @@ def test_count_single_triangle():
 
 def test_count_two_free_vertices():
     assert count_colorings(from_edges(2, [], 3), []) == 4
+    # at the guard, each free vertex's Green branch is a memo hit
+    assert count_colorings(from_edges(36, [], 3), []) == 2 ** 36
 
 
 def test_count_ceg18_zero():

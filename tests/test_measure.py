@@ -419,6 +419,16 @@ def test_region_reductions_count_a_widened_band(monkeypatch):
     monkeypatch.setattr(measure, "BOUNDARY_TOL", -0.2)
     with pytest.raises(AssertionError, match="exactly one Red"):
         basis_colored_fraction_mc(3, samples, seed)
+    # widening the Green belt alone leaves no basis two Reds, so the check
+    # trips on its zero-Red side: fully Green bases
+    monkeypatch.undo()
+    masks = measure.RegionColoring.masks
+    monkeypatch.setattr(measure.RegionColoring, "masks", lambda rc, p: (
+        masks(rc, p)[0], p < 1 / rc.dimension + 0.2))
+    both_red, all_green = region_validity_mc(REAL, 3, samples, seed)
+    assert both_red == 0 and all_green > 0
+    with pytest.raises(AssertionError, match="exactly one Red"):
+        basis_colored_fraction_mc(3, samples, seed)
 
 
 @pytest.mark.parametrize("call", [

@@ -281,12 +281,6 @@ def test_realize_catalog_graphs_on_50_seeds(name, field, monkeypatch):
     assert restarted <= RESTARTED.get((name, field), 0)
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_realize_three_cubes_first_ten_seeds(field, monkeypatch):
-    _assert_realizes(ortho_graph(three_cubes(0.0)), field, range(10),
-                     monkeypatch)
-
-
 @pytest.mark.parametrize("g,field", [(ortho_graph(cube13()), "real"),
                                      (cycle_graph(5), "complex")],
                          ids=["cube13-real", "c5-complex"])
