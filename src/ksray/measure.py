@@ -8,21 +8,22 @@ set has measure zero anyway.  A weight within BOUNDARY_TOL of 1/2 or 1/d
 counts as on the boundary, so a ray exactly on it stays Uncolored when
 rounding moves its computed weight by an ulp.
 
-The Monte Carlo fraction draws the statistic, not the ray.  A uniform ray
-is a normalized Gaussian vector g, so p_0 = |g_0|^2 / (|g_0|^2 + rest),
-where |g_0|^2 is a sum of 2a squared standard normals and rest an
-independent sum of 2a(d-1), with a = 1/2 in the real field and a = 1 in the
-complex one.  Half a chi-square with k degrees of freedom is Gamma(k/2) and
-the factor 2 cancels in the ratio, so two independent gamma variates,
-G_a / (G_a + G_a(d-1)), give p_0 exactly in law: two draws per sample at
-any d.  The split is a norm split, not the Beta law of the closed forms, so
-the estimate still checks them independently.
+The Monte Carlo measures draw the statistic, not the ray.  A uniform ray is
+a normalized Gaussian vector g, with weights p_j = |g_j|^2 / sum |g|^2, and
+|g_j|^2 / 2a is Gamma(a), a = 1/2 in the real field and 1 in the complex
+one; a factor common to all coordinates cancels in the ratio.  So a weight
+takes one variate: a squared normal, or a standard exponential, which makes
+the complex weights Dirichlet(1, ..., 1) (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. XI).  The fraction needs p_0 alone,
+G_a / (G_a + G_a(d-1)) exactly in law: two draws per sample at any d.  That
+split is a norm split, not the Beta law of the closed forms, so the
+estimate still checks them independently.
 
 The basis measures classify each member of a Haar basis by its first
 coordinate.  Those d first coordinates are the first row of a Haar unitary,
 which by transpose invariance is itself a uniform ray, so the Monte Carlo
-draws rays, not bases; the tests check the reduction against whole Haar
-bases.  Each chunk's coordinate weights are formed as one C-ordered
+draws one ray's weights per basis; the tests check them against whole Haar
+bases and sampled rays.  Each chunk's weights are drawn as one C-ordered
 (d, size) array, so the counts over the d coordinates of a ray reduce along
 contiguous rows of length size.  A ray is a canonical row, as returned by
 `canonicalize`.
@@ -43,7 +44,7 @@ from .rng import CHUNK, chunks, gaussian_rows
 
 BOUNDARY_TOL = 1e-12  # a weight this close to 1/2 or 1/d is on the boundary
 DIM_GUARD = 10 ** 6  # largest dimension: the real closed form is O(d)
-ROW_WIDTH = 64  # Gaussian rows wider than this shrink their chunk
+ROW_WIDTH = 64  # rays wider than this shrink their chunk of variates
 
 
 def _check_guard(d, name: str) -> None:
@@ -160,42 +161,46 @@ def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
 # Monte Carlo fractions and validity checks
 
 
-def _weights(g: np.ndarray) -> np.ndarray:
-    """p_j = |g_j|^2 / sum |g_j|^2 of Gaussian rows g, as a C-ordered
-    (d, rows) array: each reduction over coordinates runs along long rows."""
-    p = np.abs(g.T, order="C")
-    p *= p
-    p /= p.sum(axis=0)
-    return p
+def _squares(rng, field: str, shape) -> np.ndarray:
+    """|g|^2 / 2a = Gamma(a) / a per standard Gaussian coordinate g: a
+    squared normal (real, a = 1/2) or an exponential (complex, a = 1)."""
+    if field == COMPLEX:
+        return rng.standard_exponential(shape)
+    x = rng.standard_normal(shape)
+    return np.square(x, out=x)
 
 
 def _region_masks(field: str, d: int, samples: int, seed: int):
-    """(Red, Green) masks of the coordinate weights of each chunk's Gaussian
-    rows.  Above d = ROW_WIDTH a chunk holds CHUNK * ROW_WIDTH // d rows, so
-    no chunk draws more than CHUNK * ROW_WIDTH normals per field part.
+    """(Red, Green) masks of the coordinate weights p_j = |g_j|^2 / sum |g|^2
+    of each chunk's rays, drawn as one C-ordered (d, size) array so each
+    reduction over coordinates runs along long rows.  Above d = ROW_WIDTH a
+    chunk holds CHUNK * ROW_WIDTH // d rays, so no chunk draws more than
+    CHUNK * ROW_WIDTH variates.
     """
     chunks(seed, samples)  # a bad budget is reported before the coloring
     rc = RegionColoring(field=field, dimension=d)
     rows = CHUNK * ROW_WIDTH // max(d, ROW_WIDTH)
     for rng, size in chunks(seed, samples, rows=rows):
-        yield rc.masks(_weights(gaussian_rows(rng, size, d, field)))
+        p = _squares(rng, field, (d, size))
+        p /= p.sum(axis=0)
+        yield rc.masks(p)
 
 
 def mc_colored_fraction(field: str, d: int, samples: int,
                         seed: int) -> MCEstimate:
     """Fraction of uniform rays that land in the cap or the belt.
 
-    Each sample draws only the weight p_0 it classifies, as two gamma
-    variates: p_0 = G_a / (G_a + G_a(d-1)) with a = 1/2 in the real field
-    and a = 1 in the complex one (see the module docstring).
+    Each sample draws only the weight p_0 = G_a / (G_a + G_a(d-1)) it
+    classifies, both terms divided by a: the head from `_squares`, the rest
+    one gamma variate (a = 1/2 real, 1 complex; see the module docstring).
     """
     parts = chunks(seed, samples)
     rc = RegionColoring(field=field, dimension=d)
     a = 0.5 if field == REAL else 1.0
     colored = 0
     for rng, size in parts:
-        head = rng.standard_gamma(a, size)
-        rest = rng.standard_gamma(a * (d - 1), size)
+        head = _squares(rng, field, size)
+        rest = rng.standard_gamma(a * (d - 1), size) / a
         red, green = rc.masks(head / (head + rest))
         colored += int(np.count_nonzero(red | green))
     return _proportion(colored, samples, seed)

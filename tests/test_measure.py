@@ -335,7 +335,8 @@ def test_haar_bases_obey_region_rules(field, d):
                                      (COMPLEX, 3), (COMPLEX, 16)])
 def test_mc_fraction_against_sampled_rays(field, d):
     # oracle: classify the first weight of whole rays from sample_rays,
-    # against the two gamma variates per sample of the estimator
+    # against the estimator's two variates per sample: a squared normal or
+    # an exponential for the head, one gamma variate for the rest
     n = 50_000
     rows = sample_rays(field, d, n, stream_rng(3131, d))
     red, green = RegionColoring(field, d).masks(np.abs(rows[:, 0]) ** 2)
@@ -383,10 +384,16 @@ def test_region_validity(field, d):
 
 
 def _row_weights(field, d, samples, seed, rows):
-    """Each chunk's coordinate weights |g_j / |g||^2, one row per ray."""
+    """Each chunk's coordinate weights, one row per ray: the chunk's (d, size)
+    draw of squared normals (real) or exponentials (complex), copied into
+    rows and divided by each row's own sum."""
     for k, size in enumerate(chunk_sizes(samples, rows)):
-        g = gaussian_rows(stream_rng(seed, k), size, d, field)
-        yield np.abs(g / np.linalg.norm(g, axis=1, keepdims=True)) ** 2
+        rng = stream_rng(seed, k)
+        if field == REAL:
+            x = np.ascontiguousarray(rng.standard_normal((d, size)).T) ** 2
+        else:
+            x = np.ascontiguousarray(rng.standard_exponential((d, size)).T)
+        yield x / x.sum(axis=1, keepdims=True)
 
 
 def test_region_reductions_count_a_widened_band(monkeypatch):
@@ -449,19 +456,49 @@ def test_dimension_guard_admits_its_value():
     assert mc_colored_fraction(COMPLEX, d, 10, 0).samples == 10
 
 
+class _RecordingRng:
+    """A generator that records the size of every draw made from it."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def __getattr__(self, name):
+        def draw(size):
+            self._sizes.append(size)
+            return getattr(self._rng, name)(size)
+        return draw
+
+
 @pytest.mark.parametrize("d,rows", [(64, CHUNK), (65, CHUNK * 64 // 65),
                                     (1000, CHUNK * 64 // 1000)])
 def test_wide_rows_shrink_their_chunk(monkeypatch, d, rows):
-    # a chunk holds at most CHUNK * 64 normals; the last chunk is short
-    shapes = []
+    # a chunk draws one (d, rows) array of at most CHUNK * 64 variates in
+    # either field; the last chunk is short
+    plain = measure.chunks
+    for field in (REAL, COMPLEX):
+        shapes = []
+        monkeypatch.setattr(measure, "chunks", lambda *a, **k: (
+            (_RecordingRng(rng, shapes), size) for rng, size in plain(*a, **k)))
+        region_validity_mc(field, d, 2 * rows + 7, seed=0)
+        assert shapes == [(d, rows), (d, rows), (d, 7)]
 
-    def recording(rng, n, width, field):
-        shapes.append((n, width))
-        return gaussian_rows(rng, n, width, field)
 
-    monkeypatch.setattr(measure, "gaussian_rows", recording)
-    region_validity_mc(REAL, d, 2 * rows + 7, seed=0)
-    assert shapes == [(rows, d), (rows, d), (7, d)]
+@pytest.mark.parametrize("field,d,w", [
+    (COMPLEX, 3, 0.2), (COMPLEX, 4, 0.2), (COMPLEX, 6, 0.3), (REAL, 3, 0.2),
+    (REAL, 7, 0.3)])
+def test_region_weights_follow_sampled_rays(monkeypatch, field, d, w):
+    # the law of the drawn weights: widened-band counts (see above) against
+    # the same counts on the weights |x_j|^2 of whole sample_rays rows; two
+    # samples of n from one law differ by sqrt(2 var / n) in their means
+    n = 50_000
+    p = np.abs(sample_rays(field, d, n, stream_rng(4141, d))) ** 2
+    reds = (p > 0.5 - w).sum(axis=1)
+    oracle = (reds * (reds - 1) // 2, (p < 1 / d + w).all(axis=1))
+    monkeypatch.setattr(measure, "BOUNDARY_TOL", -w)
+    counts = region_validity_mc(field, d, n, seed=4142)
+    for count, x in zip(counts, oracle):
+        assert count > 0
+        assert abs(count / n - x.mean()) <= 4 * math.sqrt(2 * x.var() / n)
 
 
 RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
@@ -469,7 +506,7 @@ RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
 
 @pytest.mark.parametrize("run,expected", [
     (lambda: mc_colored_fraction(REAL, 5, RAGGED, 11),
-     "MCEstimate(value=0.7406068096338849, stderr=0.0012106164645396293, "
+     "MCEstimate(value=0.7430938594282837, stderr=0.0012068200557478989, "
      "samples=131079, seed=11)"),
     (lambda: mc_colored_fraction(COMPLEX, 4, RAGGED, 12),
      "MCEstimate(value=0.7031255960146171, stderr=0.0012619329252985304, "
@@ -479,10 +516,10 @@ RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
     (lambda: basis_colored_fraction_mc(2, RAGGED, 14),
      "MCEstimate(value=1.0, stderr=0.0, samples=131079, seed=14)"),
     (lambda: basis_colored_fraction_mc(3, RAGGED, 15),
-     "MCEstimate(value=0.6963129105348683, stderr=0.0012701319147272617, "
+     "MCEstimate(value=0.692979043172438, stderr=0.0012740236828512786, "
      "samples=131079, seed=15)"),
     (lambda: basis_colored_fraction_mc(4, RAGGED, 16),
-     "MCEstimate(value=0.4528490452322645, stderr=0.0013748766908683553, "
+     "MCEstimate(value=0.4507281868186361, stderr=0.0013743092063161289, "
      "samples=131079, seed=16)"),
     (lambda: separable_validity_mc(RAGGED, 17), "0"),
     (lambda: platter_simulate(ClassicalStrategy((1, 0, 1, 0, 0)), RAGGED, 18),
