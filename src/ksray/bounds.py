@@ -15,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ortho import (InvalidInput, NumericalFailure, OrthoGraph, _bits,
-                    maximal_cliques)
+                    _check_int, maximal_cliques)
 
 SIZE_GUARD = 64
 MAX_ITERATIONS = 100
 EPS = 1e-6  # largest certified theta gap; the sandwich check's slack
 
 
-def _check_size(g: OrthoGraph, empty_ok: bool = False) -> None:
-    if g.n > SIZE_GUARD:
-        raise InvalidInput(f"{g.n} vertices exceeds the guard of {SIZE_GUARD}")
-    if g.n == 0 and not empty_ok:
+def _check_size(g: OrthoGraph) -> None:
+    _check_int(g.n, f"{g.n} vertices", high=SIZE_GUARD)
+    if g.n == 0:
         raise InvalidInput("the graph has no vertices")
 
 
@@ -39,7 +38,7 @@ def independence_number(g: OrthoGraph) -> tuple[int, tuple[int, ...]]:
     Branch and bound on the complement (max clique there), pruned by a
     greedy coloring bound; vertices are bitmasks so set algebra is cheap.
     """
-    _check_size(g, empty_ok=True)
+    _check_int(g.n, f"{g.n} vertices", high=SIZE_GUARD)
     full = (1 << g.n) - 1
     comp = [full & ~nbrs & ~(1 << v)
             for v, nbrs in enumerate(g._neighbor_masks)]

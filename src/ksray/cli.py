@@ -129,13 +129,17 @@ def _components(kind, text: str) -> tuple:
 
 
 def cmd_platter(args) -> str:
+    for flag, owner in (("assignment", "classical"), ("state", "quantum")):
+        if getattr(args, flag) is not None and args.strategy != owner:
+            raise rays.InvalidInput(f"--{flag} applies only to {owner}")
     if args.strategy == "classical":
-        strategy = operators.ClassicalStrategy(
-            _components(int, args.assignment))
+        strategy = operators.ClassicalStrategy(_components(
+            int, "1,0,1,0,0" if args.assignment is None else args.assignment))
     elif args.strategy == "conspiratorial":
         strategy = operators.ConspiratorialStrategy()
     else:
-        strategy = operators.QuantumStrategy(_components(complex, args.state))
+        strategy = operators.QuantumStrategy(_components(
+            complex, "0,0,1" if args.state is None else args.state))
     out = operators.platter_simulate(strategy, args.trials, args.seed)
     return (f"strategy: {out.strategy}\nestimate: {_fmt(out.estimate)}\n"
             f"trials: {out.trials} seed: {out.seed}\n")
@@ -150,10 +154,8 @@ def _parse_scan(text: str) -> tuple[int, int]:
     if not 2 <= lo <= hi:
         raise rays.InvalidInput(f"--scan needs 2 <= LO <= HI, got {text!r}")
     # the closed forms cost up to O(d) each: a scan gets the budget of one d
-    if (lo + hi) * (hi - lo + 1) // 2 > measure.DIM_GUARD:
-        raise rays.InvalidInput(
-            "the sum of --scan dimensions exceeds the guard of "
-            f"{measure.DIM_GUARD}")
+    rays._check_int((lo + hi) * (hi - lo + 1) // 2,
+                    "the sum of --scan dimensions", high=measure.DIM_GUARD)
     return lo, hi
 
 
@@ -241,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("classical", "conspiratorial", "quantum"))
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assignment", default="1,0,1,0,0",
-                   help="five 0/1 entries for the classical strategy")
-    p.add_argument("--state", default="0,0,1",
-                   help="three components for the quantum strategy")
+    p.add_argument("--assignment", help="five 0/1 entries for classical "
+                                        "(default 1,0,1,0,0)")
+    p.add_argument("--state", help="three components for quantum "
+                                   "(default 0,0,1)")
     p.set_defaults(fn=cmd_platter)
 
     p = sub.add_parser("measure", help="colored fractions and validity checks")

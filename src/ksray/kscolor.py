@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 
 from .ortho import InvalidInput, OrthoGraph, _bits, complete_bases
-from .rays import _is_int
+from .rays import _check_int, _is_int
 
 
 class Color(enum.Enum):
@@ -227,8 +227,7 @@ def count_colorings(g: OrthoGraph, bases=None) -> int:
     A parity certificate means none; the memo answers the second branch of a
     vertex in no edge and no basis.  bases defaults to complete_bases(g).
     """
-    if g.n > COUNT_GUARD:
-        raise InvalidInput(f"{g.n} vertices exceeds the guard of {COUNT_GUARD}")
+    _check_int(g.n, f"{g.n} vertices", high=COUNT_GUARD)
     masks = _basis_masks(g, complete_bases(g) if bases is None else bases)
     if _parity_certificate(masks, g.n) is not None:
         return 0

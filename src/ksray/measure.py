@@ -38,20 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import (COMPLEX, REAL, InvalidInput, _canonical_rows, _check_dim,
-                   _check_field, canonicalize)
+from .rays import (COMPLEX, REAL, InvalidInput, _canonical_rows, _check_field,
+                   _check_int, canonicalize)
 from .rng import CHUNK, chunks, gaussian_rows
 
 BOUNDARY_TOL = 1e-12  # a weight this close to 1/2 or 1/d is on the boundary
 DIM_GUARD = 10 ** 6  # largest dimension: the real closed form is O(d)
 ROW_WIDTH = 64  # rays wider than this shrink their chunk of variates
-
-
-def _check_guard(d, name: str) -> None:
-    """_check_dim, then refuse a dimension above DIM_GUARD."""
-    _check_dim(d, name)
-    if d > DIM_GUARD:
-        raise InvalidInput(f"{name} exceeds the guard of {DIM_GUARD}")
 
 
 class Region(enum.Enum):
@@ -67,7 +60,7 @@ class RegionColoring:
 
     def __post_init__(self):
         _check_field(self.field)
-        _check_guard(self.dimension, "dimension")
+        _check_int(self.dimension, "dimension", 2, DIM_GUARD)
 
     def masks(self, p):
         """(Red, Green) masks of weights p = |x_0|^2, boundary band excluded."""
@@ -95,7 +88,7 @@ def classify(rc: RegionColoring, ray) -> Region:
 
 def colored_fraction_complex(N: int) -> float:
     """1 - (1 - 1/N)^(N-1) + (1/2)^(N-1), the cap plus belt volume."""
-    _check_guard(N, "N")
+    _check_int(N, "N", 2, DIM_GUARD)
     return 1.0 - (1.0 - 1.0 / N) ** (N - 1) + 0.5 ** (N - 1)
 
 
@@ -127,7 +120,7 @@ def colored_fraction_real(d: int) -> float:
     incomplete beta values; their recurrence terms are summed with one
     correctly rounded math.fsum, in O(d) time.
     """
-    _check_guard(d, "d")
+    _check_int(d, "d", 2, DIM_GUARD)
     b = (d - 1) / 2.0
     return math.fsum(itertools.chain(
         [1.0], (-t for t in _betainc_half_terms(b, 0.5)),
@@ -236,7 +229,7 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     the belt.  A fully colored basis automatically holds exactly one Red
     member; this is asserted inside the loop as a side check.
     """
-    _check_dim(d, "d")
+    _check_int(d, "d", 2)
     full = 0
     for red, green in _region_masks(REAL, d, samples, seed):
         fully = (red | green).all(axis=0)

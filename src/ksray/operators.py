@@ -35,7 +35,7 @@ def eigen_max(H: np.ndarray) -> float:
     if not np.isfinite(H).all():  # NaN would pass both tolerance gates
         raise InvalidInput("matrix entries must be finite")
     if np.abs(H - H.conj().T).max() > HERMITIAN_TOL:
-        raise InvalidInput("matrix is not Hermitian within 1e-12")
+        raise InvalidInput(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
     w, v = np.linalg.eigh(H)
     lam = float(w[-1])
     vec = v[:, -1]

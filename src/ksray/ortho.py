@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import (REAL, InvalidInput, NumericalFailure, RaySet, _check_dim,
-                   _check_field, _is_int, build_rayset)
+from .rays import (REAL, InvalidInput, NumericalFailure, RaySet, _check_field,
+                   _check_int, _is_int, build_rayset)
 from .rng import gaussian_rows, stream_rng
 
 
@@ -36,7 +36,7 @@ class OrthoGraph:
     vertex_labels: tuple[str, ...]
 
     def __post_init__(self):
-        _check_dim(self.dimension, "dimension")
+        _check_int(self.dimension, "dimension", 2)
         a = np.asarray(self.adjacency)
         if a.dtype != bool or a.ndim != 2:
             raise InvalidInput("adjacency must be a 2-D boolean array")
@@ -80,8 +80,7 @@ def ortho_graph(rs: RaySet) -> OrthoGraph:
 
 def from_edges(n: int, edges, dimension: int) -> OrthoGraph:
     """Graph on vertices 0..n-1, labeled v0.., with the given edge pairs."""
-    if not _is_int(n) or n < 0:
-        raise InvalidInput(f"n must be an integer >= 0, got {n!r}")
+    _check_int(n, "n", 0)
     try:
         pairs = [(i, j) for i, j in edges]
     except (TypeError, ValueError):
@@ -205,7 +204,7 @@ def realize(g: OrthoGraph, d: int, seed: int, field: str = REAL) -> RaySet:
     first success by restart index wins.  d must be an integer >= 2, and
     a graph with no vertices raises InvalidInput.
     """
-    _check_dim(d, "dimension")
+    _check_int(d, "dimension", 2)
     _check_field(field)
     if g.n == 0:
         raise InvalidInput("the graph has no vertices")

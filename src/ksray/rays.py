@@ -57,12 +57,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and type(x) is not bool
 
 
-def _check_dim(d, name: str) -> None:
-    """Refuse a dimension d that is not an integer >= 2, naming it name."""
-    if not _is_int(d):
-        raise InvalidInput(f"{name} must be an integer, got {d!r}")
-    if d < 2:
-        raise InvalidInput(f"{name} must be >= 2")
+def _check_int(x, name: str, low=None, high=None) -> None:
+    """Refuse x unless it is an integer in [low, high], naming it name."""
+    if not _is_int(x):
+        raise InvalidInput(f"{name} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise InvalidInput(f"{name} must be >= {low}")
+    if high is not None and x > high:
+        raise InvalidInput(f"{name} exceeds the guard of {high}")
 
 
 def _canonical_rows(M, field: str) -> np.ndarray:
@@ -392,7 +394,7 @@ def load_rayset(text: str) -> RaySet:
             raise InvalidInput(f"missing field {key!r}")
     dim = obj["dimension"]
     field = obj["field"]
-    _check_dim(dim, "dimension")
+    _check_int(dim, "dimension", 2)
     _check_field(field)
     raw = obj["rays"]
     if not isinstance(raw, list) or not raw:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rays import COMPLEX, InvalidInput, _check_field
+from .rays import COMPLEX, InvalidInput, _check_field, _check_int
 
 CHUNK = 1 << 16
 
@@ -18,6 +18,7 @@ _MASK = (1 << 64) - 1
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    _check_int(seed, "seed")
     key = np.array([int(seed) & _MASK, int(stream) & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -42,9 +43,8 @@ def chunk_sizes(total: int, chunk: int = CHUNK):
 
 def chunks(seed: int, total: int, what: str = "samples", rows: int = CHUNK):
     """(generator, size) per chunk of at most rows draws of a budget: chunk k
-    draws from stream_rng(seed, k).  A budget below 1 is refused at call
-    time."""
-    if total < 1:
-        raise InvalidInput(f"{what} must be >= 1")
+    draws from stream_rng(seed, k).  A budget that is not an integer >= 1
+    is refused at call time."""
+    _check_int(total, what, 1)
     return ((stream_rng(seed, k), size)
             for k, size in enumerate(chunk_sizes(total, rows)))

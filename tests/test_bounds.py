@@ -335,6 +335,17 @@ def test_packing_open_gap_is_numerical(monkeypatch):
     assert run(["bounds", "--set", "kcbs5"]) == 1
 
 
+def test_theta_open_gap_is_numerical(monkeypatch, capsys):
+    # no certified bracket is narrower than -1, so the gate must refuse it
+    monkeypatch.setattr(bounds_mod, "EPS", -1.0)
+    with pytest.raises(NumericalFailure, match="duality gap"):
+        theta_certificate(cycle_graph(5))
+    assert run(["bounds", "--set", "kcbs5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: duality gap")
+
+
 # --- combined report --------------------------------------------------------
 
 def test_bounds_report_c5():

@@ -370,6 +370,25 @@ def test_non_finite_phase_exit_code(capsys, verb, phase):
     assert err == f"error: phase must be finite, got {phase}\n"
 
 
+@pytest.mark.parametrize("strategy,option,owner", [
+    ("quantum", ["--assignment", "1,0,1,0,0"], "classical"),
+    ("conspiratorial", ["--assignment", "1"], "classical"),
+    ("classical", ["--state", "0,0,1"], "quantum"),
+    ("conspiratorial", ["--state", "x"], "quantum"),
+])
+def test_platter_option_of_another_strategy_exit_code(
+        monkeypatch, capsys, strategy, option, owner):
+    # an option the strategy would not read is refused before any trial
+    def no_trials(*args):
+        raise AssertionError("platter ran")
+
+    monkeypatch.setattr(operators, "platter_simulate", no_trials)
+    code, out, err = capture(capsys, ["platter", "--strategy", strategy,
+                                      "--trials", "10", *option])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {option[0]} applies only to {owner}"]
+
+
 def test_zero_quantum_state_exit_code(capsys):
     code, out, err = capture(capsys, ["platter", "--strategy", "quantum",
                                       "--trials", "1000", "--state", "0,0,0"])
@@ -535,8 +554,8 @@ def test_argv_fuzz_exits_0_1_or_2(tmp_path, capsys):
         *(command([verb], (), sets) for verb in ("graph", "color",
                                                  "spectrum")),
         command(["bounds"], (), sets + ("--json",)),
-        command(["platter"], ("--strategy", "--trials", "--assignment",
-                              "--state"), ("--seed",)),
+        command(["platter"], ("--strategy", "--trials"),
+                ("--seed", "--assignment", "--state")),
         command(["measure", "fraction"], ("--field",),
                 ("--dim", "--mc", "--seed", "--json", "--scan")),
         command(["measure", "bases"], ("--dim", "--mc"),

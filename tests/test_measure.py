@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -454,6 +455,38 @@ def test_dimension_guard_admits_its_value():
     d = measure.DIM_GUARD
     assert abs(colored_fraction_complex(d) - (1 - 1 / math.e)) < 1e-6
     assert mc_colored_fraction(COMPLEX, d, 10, 0).samples == 10
+
+
+SEEDED = {  # entry point: (call(budget, seed), budget name, a valid budget)
+    "fraction": (lambda n, s: mc_colored_fraction(REAL, 3, n, s),
+                 "samples", 1000),
+    "validity": (lambda n, s: region_validity_mc(COMPLEX, 3, n, s),
+                 "samples", 1000),
+    "bases": (lambda n, s: basis_colored_fraction_mc(3, n, s),
+              "samples", 1000),
+    "separable": (separable_validity_mc, "samples", 1000),
+    "platter": (lambda n, s: platter_simulate(ConspiratorialStrategy(), n, s),
+                "trials", 1000),
+    # realize has no budget; its dimension takes that place
+    "realize": (lambda d, s: realize(cycle_graph(5), d, s).matrix.tolist(),
+                "dimension", 3),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_entry_points_refuse_non_integers(name):
+    # a record must report the budget and the seed its streams ran with, so
+    # a float, string or bool is refused, naming the argument
+    call, budget, good = SEEDED[name]
+    for bad in (2.5, 1000.0, True):
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"{budget} must be an integer, got {bad!r}")):
+            call(bad, 7)
+    for bad in (7.9, "7", True):
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"seed must be an integer, got {bad!r}")):
+            call(good, bad)
+    assert call(np.int64(good), np.int64(7)) == call(good, 7)
 
 
 class _RecordingRng:

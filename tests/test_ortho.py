@@ -11,7 +11,7 @@ from ksray import (
     CATALOGS, InvalidInput, NumericalFailure, OrthoGraph, RaySet, ceg18,
     complete_bases, cube13, cycle_graph,
     from_edges, graph_to_json, kcbs5, maximal_cliques, ortho_graph, peres24,
-    realize, stream_rng, three_cubes, build_rayset, ks_solve,
+    realize, sample_rays, stream_rng, three_cubes, build_rayset, ks_solve,
 )
 from ksray import ortho
 from ksray.cli import run
@@ -303,6 +303,34 @@ def test_realize_redraws_a_zero_row_in_place(g, field, monkeypatch):
     assert draws[:2] == [g.n, 1]
     M = rs.matrix
     assert sum(abs(np.vdot(M[i], M[j])) ** 2 for i, j in g.edges) < 1e-10
+
+
+def test_realize_restarts_on_coincident_rays(monkeypatch):
+    # a start that meets every residual with two rays equal cannot build a
+    # RaySet; realize then returns the next start's set
+    built = []
+
+    def refuse_first(*args):
+        built.append(args)
+        if len(built) == 1:
+            raise InvalidInput("duplicate ray")
+        return build_rayset(*args)
+
+    starts = _count_starts(monkeypatch)
+    monkeypatch.setattr(ortho, "build_rayset", refuse_first)
+    g = cycle_graph(5)
+    rs = realize(g, 3, seed=0)
+    assert starts == [0, 1] and len(built) == 2
+    assert np.array_equal(rs.matrix, build_rayset(*built[1]).matrix)
+    assert np.array_equal(ortho_graph(rs).adjacency, g.adjacency)
+
+
+def test_oversize_draw_is_invalid_input():
+    # numpy refuses the shape before it allocates
+    with pytest.raises(InvalidInput):
+        realize(cycle_graph(5), 2**62, 0)
+    with pytest.raises(InvalidInput):
+        sample_rays("real", 2**62, 1, stream_rng(0, 0))
 
 
 def test_realize_repairs_a_start_at_most_d_times(monkeypatch):
