@@ -147,6 +147,8 @@ def _proportion(count: int, samples: int, seed: int) -> MCEstimate:
 
 def sample_rays(field: str, d: int, n: int, rng) -> np.ndarray:
     """n uniform rays as canonical complex rows; normalized Gaussian vectors."""
+    _check_int(d, "dimension", 2)
+    _check_int(n, "n", 1)
     return _canonical_rows(gaussian_rows(rng, n, d, field), field)
 
 

@@ -101,7 +101,8 @@ class QuantumStrategy:
                 f"state norm {norm:g} is not finite and positive")
         psi = psi / norm
         M = kcbs5().matrix
-        return np.abs(M.conj() @ psi) ** 2
+        # rounding can lift a probability past 1, which binomial refuses
+        return np.minimum(np.abs(M.conj() @ psi) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -123,42 +124,34 @@ def platter_simulate(strategy, trials: int, seed: int) -> PlatterOutcome:
     Each trial opens the two cups of a uniformly random pentagon edge.  A cup
     is observed only when one of its two edges is drawn, so the estimator is
     the sum over cups of hits/observations, which targets the sum of the
-    per-measurement expectations.  Trials run in fixed-size chunks on
-    disjoint seeded substreams; results are reproducible for a given seed no
-    matter how chunks are scheduled.
+    per-measurement expectations.  A strategy is the chance of a stone under
+    the first cup (k) and the second cup (k + 1) of each edge k; given a
+    chunk's edge counts, its hits on each cup are independent binomials, so
+    a chunk draws those totals, not its trials.  Trials run in fixed-size
+    chunks on disjoint seeded substreams; results are reproducible for a
+    given seed no matter how chunks are scheduled.
     """
     parts = chunks(seed, trials, what="trials")
     if isinstance(strategy, ClassicalStrategy):
-        name = "classical"
+        name, first = "classical", np.array(strategy.assignment, dtype=float)
+        second = np.roll(first, -1)
     elif isinstance(strategy, ConspiratorialStrategy):
-        name = "conspiratorial"
+        # the stone sits under the first cup of the drawn pair
+        name, first, second = "conspiratorial", np.ones(5), np.zeros(5)
     elif isinstance(strategy, QuantumStrategy):
-        name = "quantum"
-        probs = strategy.probabilities()
-        after = np.roll(probs, -1)  # cup k + 1, the second cup of edge k
+        name, first = "quantum", strategy.probabilities()
+        second = np.roll(first, -1)
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
 
-    # tally[5 h + k]: draws of edge (k, k+1) with hit pattern h, where bit 0
-    # is a hit in cup k and bit 1 a hit in cup k + 1 (quantum only)
-    tally = np.zeros(20, dtype=np.int64)
+    edges = np.zeros(5, dtype=np.int64)
+    hits = np.zeros(5, dtype=np.int64)
     for rng, size in parts:
-        draws = rng.integers(0, 5, size=size)
-        if name == "quantum":
-            u = rng.random((size, 2))
-            draws += (5 * (u[:, 0] < probs[draws])
-                      + 10 * (u[:, 1] < after[draws]))
-        tally += np.bincount(draws, minlength=20)
-    tally = tally.reshape(4, 5)
-    edges = tally.sum(axis=0)
-
+        drawn = rng.multinomial(size, [0.2] * 5)
+        edges += drawn
+        hits += rng.binomial(drawn, first)
+        hits += np.roll(rng.binomial(drawn, second), 1)  # cup k + 1 of edge k
     obs = edges + np.roll(edges, 1)  # cup k is opened by edges k and k - 1
-    if name == "quantum":
-        hits = tally[1] + tally[3] + np.roll(tally[2] + tally[3], 1)
-    elif name == "classical":
-        hits = np.array(strategy.assignment) * obs
-    elif name == "conspiratorial":
-        hits = edges  # the stone sits under the first cup of the drawn pair
     freq = np.divide(hits, obs, out=np.zeros(5), where=obs > 0)
     return PlatterOutcome(strategy=name, estimate=float(freq.sum()),
                           trials=trials, seed=seed,

@@ -36,6 +36,7 @@ class OrthoGraph:
     vertex_labels: tuple[str, ...]
 
     def __post_init__(self):
+        _check_int(self.n, "n", 0)
         _check_int(self.dimension, "dimension", 2)
         a = np.asarray(self.adjacency)
         if a.dtype != bool or a.ndim != 2:

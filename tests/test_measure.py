@@ -211,8 +211,13 @@ def test_fraction_d2_is_one():
     lambda: region_validity_mc(COMPLEX, 2.5, 10, 0),
     lambda: basis_colored_fraction_mc(2.5, 10, 0),
     lambda: realize(cycle_graph(5), 3.5, 0),
+    lambda: sample_rays(REAL, 3.0, 2, stream_rng(0, 0)),
+    lambda: sample_rays(REAL, True, 2, stream_rng(0, 0)),
+    lambda: sample_rays(REAL, 3, 2.5, stream_rng(0, 0)),
+    lambda: sample_rays(REAL, 3, "2", stream_rng(0, 0)),
 ], ids=["real", "real-bool", "complex", "coloring", "fraction-mc",
-        "validity-mc", "bases-mc", "realize"])
+        "validity-mc", "bases-mc", "realize", "sample-d-float",
+        "sample-d-bool", "sample-n-float", "sample-n-string"])
 def test_non_integer_dimension_is_a_value_error(call):
     with pytest.raises(ValueError, match="must be an integer, got"):
         call()
@@ -559,15 +564,15 @@ RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
      "PlatterOutcome(strategy='classical', estimate=2.0, trials=131079, "
      "seed=18, frequencies=(1.0, 0.0, 1.0, 0.0, 0.0))"),
     (lambda: platter_simulate(ConspiratorialStrategy(), RAGGED, 19),
-     "PlatterOutcome(strategy='conspiratorial', estimate=2.499999995630193, "
-     "trials=131079, seed=19, frequencies=(0.5014985205688651, "
-     "0.49905611807104855, 0.5013717421124828, 0.4989528197707627, "
-     "0.49912079510703367))"),
+     "PlatterOutcome(strategy='conspiratorial', estimate=2.4999998406359643, "
+     "trials=131079, seed=19, frequencies=(0.49493391231478306, "
+     "0.5045943266737838, 0.49732224247948953, 0.49740902809765086, "
+     "0.5057403310702571))"),
     (lambda: platter_simulate(QuantumStrategy((0, 0, 1)), RAGGED, 20),
-     "PlatterOutcome(strategy='quantum', estimate=2.2359737066438132, "
-     "trials=131079, seed=20, frequencies=(0.44842036778353966, "
-     "0.44594310605047477, 0.4471547814155582, 0.4481954659185685, "
-     "0.44625998547567175))"),
+     "PlatterOutcome(strategy='quantum', estimate=2.2343795384318437, "
+     "trials=131079, seed=20, frequencies=(0.4483703929332927, "
+     "0.44703719149258825, 0.44798673704670616, 0.4465024517315354, "
+     "0.44448276522772123))"),
 ], ids=["fraction-real", "fraction-complex", "validity-real",
         "validity-complex", "bases-2", "bases-3", "bases-4", "separable",
         "platter-classical", "platter-conspiratorial", "platter-quantum"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksray import operators
+from ksray.cli import run
 from ksray import (
     ClassicalStrategy, ConspiratorialStrategy, InvalidInput,
     QuantumStrategy, RaySet, build_rayset, ceg18, cube13, eigen_max,
@@ -148,6 +149,32 @@ def test_platter_conspiratorial():
 def test_platter_quantum_pole_state():
     out = platter_simulate(QuantumStrategy((0, 0, 1)), 200_000, 13)
     assert abs(out.estimate - SQRT5) < 0.02
+
+
+def test_platter_quantum_cup_frequencies():
+    # the five probabilities differ, so a second cup credited to the wrong
+    # neighbour moves some frequency by many standard errors
+    trials = 10**6
+    strategy = QuantumStrategy((1, 2, 3))
+    probs = strategy.probabilities()
+    out = platter_simulate(strategy, trials, 31)
+    for freq, p in zip(out.frequencies, probs):
+        assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / (2 * trials / 5))
+
+
+# kcbs5 row 3, whose own probability rounds to 1 + 4.4e-16
+ROW3 = "0.22975292054736143,0.7071067811865476,0.668740304976422"
+
+
+def test_platter_state_on_a_kcbs5_ray(capsys):
+    strategy = QuantumStrategy(tuple(float(x) for x in ROW3.split(",")))
+    assert strategy.probabilities().max() == 1.0
+    out = platter_simulate(strategy, 10_000, 3)
+    assert out.frequencies[3] == 1.0
+    assert out.frequencies[2] == out.frequencies[4] == 0.0
+    assert run(["platter", "--strategy", "quantum", "--trials", "10000",
+                "--seed", "3", "--state", ROW3]) == 0
+    assert f"estimate: {out.estimate:.12g}\n" in capsys.readouterr().out
 
 
 def test_platter_quantum_probabilities_sum_to_sqrt5():

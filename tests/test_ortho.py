@@ -424,8 +424,13 @@ EMPTY_SET = RaySet(dimension=3, field="real",
      "adjacency must be a 2-D boolean array"),
     (lambda: OrthoGraph(2, np.zeros((2, 2, 1), dtype=bool), 3, ("a", "b")),
      "adjacency must be a 2-D boolean array"),
+    (lambda: OrthoGraph(2.0, NO_EDGES, 3, ("a", "b")),
+     "n must be an integer, got 2.0"),
+    (lambda: OrthoGraph(True, np.zeros((1, 1), dtype=bool), 3, ("a",)),
+     "n must be an integer, got True"),
 ], ids=["shape", "asymmetric", "diagonal", "few-labels", "many-labels",
-        "self-loop", "empty-set", "int-list", "float", "int", "3-D"])
+        "self-loop", "empty-set", "int-list", "float", "int", "3-D", "n-float",
+        "n-bool"])
 def test_graph_refusals(make, message):
     with pytest.raises(InvalidInput, match=message):
         make()
