@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ortho import (InvalidInput, NumericalFailure, OrthoGraph, _bits,
-                    _check_int, maximal_cliques)
+from .ortho import OrthoGraph, _bits, maximal_cliques
+from .rays import InvalidInput, NumericalFailure, _check_int
 
 SIZE_GUARD = 64
 MAX_ITERATIONS = 100

@@ -43,14 +43,6 @@ def _resolve_set(args) -> rays.RaySet:
     return make() if args.phase is None else make(args.phase)
 
 
-def _add_set_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--set", help="named catalog set: "
-                                 + ", ".join(rays.CATALOGS))
-    p.add_argument("--phase", type=float,
-                   help="free phase for three-cubes (default 0)")
-    p.add_argument("--file", help="ray-set file (overrides --set)")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -212,37 +204,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "contextuality bounds, and coloring measures.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", help="list or emit the named ray sets")
+    # options that several commands share, each declared once; a parent's
+    # options come first in its children's help
+    named, phase_file, seed, as_json, mc = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    named.add_argument("--set", help="named catalog set: "
+                                     + ", ".join(rays.CATALOGS))
+    phase_file.add_argument("--phase", type=float,
+                            help="free phase for three-cubes (default 0)")
+    phase_file.add_argument("--file",
+                            help="ray-set file (overrides the set name)")
+    seed.add_argument("--seed", type=int, default=0)
+    as_json.add_argument("--json", action="store_true")
+    mc.add_argument("--mc", type=int, required=True)
+    ray_set, sampled = [named, phase_file], [mc, seed, as_json]
+
+    p = sub.add_parser("catalog", parents=[phase_file],
+                       help="list or emit the named ray sets")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("set", nargs="?", metavar="name", help="set name for emit")
-    p.add_argument("--phase", type=float,
-                   help="free phase for three-cubes (default 0)")
-    p.add_argument("--file", help="ray-set file (overrides the name)")
     p.set_defaults(fn=cmd_catalog)
 
-    p = sub.add_parser("graph", help="emit the orthogonality graph as JSON "
-                                     "(fields: n, dimension, edges)")
-    _add_set_options(p)
+    p = sub.add_parser("graph", parents=ray_set,
+                       help="emit the orthogonality graph as JSON "
+                            "(fields: n, dimension, edges)")
     p.set_defaults(fn=cmd_graph)
 
-    p = sub.add_parser("color", help="decide KS colorability")
-    _add_set_options(p)
+    p = sub.add_parser("color", parents=ray_set,
+                       help="decide KS colorability")
     p.set_defaults(fn=cmd_color)
 
-    p = sub.add_parser("bounds", help="classical/quantum/conspiratorial bounds")
-    _add_set_options(p)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("bounds", parents=[*ray_set, as_json],
+                       help="classical/quantum/conspiratorial bounds")
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("spectrum", help="projector-sum spectrum and POVM check")
-    _add_set_options(p)
+    p = sub.add_parser("spectrum", parents=ray_set,
+                       help="projector-sum spectrum and POVM check")
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("platter", help="pentagon platter simulation")
+    p = sub.add_parser("platter", parents=[seed],
+                       help="pentagon platter simulation")
     p.add_argument("--strategy", required=True,
                    choices=("classical", "conspiratorial", "quantum"))
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assignment", help="five 0/1 entries for classical "
                                         "(default 1,0,1,0,0)")
     p.add_argument("--state", help="three components for quantum "
@@ -252,12 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="colored fractions and validity checks")
     msub = p.add_subparsers(dest="measure_cmd", required=True)
 
-    q = msub.add_parser("fraction", help="cap-and-belt colored fraction")
+    q = msub.add_parser("fraction", parents=[seed, as_json],
+                        help="cap-and-belt colored fraction")
     q.add_argument("--field", choices=("real", "complex"), required=True)
     q.add_argument("--dim", type=int)
     q.add_argument("--mc", type=int, help="Monte Carlo sample count")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--json", action="store_true")
     q.add_argument("--scan", metavar="LO:HI",
                    help="CSV of closed-form values for dimensions LO..HI, "
                         "2 <= LO <= HI, whose sum is at most "
@@ -265,25 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "with --json one record of dimensions and fractions")
     q.set_defaults(fn=cmd_fraction)
 
-    q = msub.add_parser("bases", help="fraction of fully colored real bases")
+    q = msub.add_parser("bases", parents=sampled,
+                        help="fraction of fully colored real bases")
     q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--mc", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--json", action="store_true")
     q.set_defaults(fn=cmd_bases)
 
-    q = msub.add_parser("validity", help="cap/belt rule violations over bases")
+    q = msub.add_parser("validity", parents=sampled,
+                        help="cap/belt rule violations over bases")
     q.add_argument("--field", choices=("real", "complex"), required=True)
     q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--mc", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--json", action="store_true")
     q.set_defaults(fn=cmd_validity)
 
-    q = msub.add_parser("separable", help="separable-quadrant validity check")
-    q.add_argument("--mc", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--json", action="store_true")
+    q = msub.add_parser("separable", parents=sampled,
+                        help="separable-quadrant validity check")
     q.set_defaults(fn=cmd_separable)
 
     return top

@@ -12,8 +12,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .ortho import InvalidInput, OrthoGraph, _bits, complete_bases
-from .rays import _check_int, _is_int
+from .ortho import OrthoGraph, _bits, complete_bases
+from .rays import InvalidInput, _check_int, _is_int
 
 
 class Color(enum.Enum):

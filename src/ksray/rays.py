@@ -13,6 +13,7 @@ duplicate decisions sit many orders of magnitude away from the tolerances.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -238,23 +239,12 @@ def cube13() -> RaySet:
 
 
 def peres24() -> RaySet:
-    """The 24-ray set in R^4: 4 basis rays, 12 two-entry rays, 8 half-integer rays."""
-    vecs: list[tuple[int, ...]] = []
-    for i in range(4):
-        v = [0, 0, 0, 0]
-        v[i] = 1
-        vecs.append(tuple(v))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for s in (1, -1):
-                v = [0, 0, 0, 0]
-                v[i] = 1
-                v[j] = s
-                vecs.append(tuple(v))
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                vecs.append((1, s1, s2, s3))
+    """The 24-ray set in R^4: 4 basis rays, 12 two-entry rays, 8 half-integer
+    rays, i.e. the {0, +-1}^4 rays with one, two or four nonzero entries,
+    the first of them 1, by support and then in product order of 1, -1, 0."""
+    vecs = sorted((v for v in itertools.product((1, -1, 0), repeat=4)
+                   if v.count(0) != 1 and next(filter(None, v), 0) == 1),
+                  key=lambda v: -v.count(0))
     return build_rayset(vecs, REAL, [_pattern_label(v) for v in vecs])
 
 

@@ -30,7 +30,7 @@ def gaussian_rows(rng, n: int, d: int, field: str) -> np.ndarray:
     try:
         g = rng.standard_normal((n, d))
     except ValueError as exc:  # d is past numpy's largest dimension
-        raise InvalidInput(str(exc)) from exc
+        raise InvalidInput(f"{n} rows of dimension {d}: {exc}") from exc
     if field == COMPLEX:
         g = g + 1j * rng.standard_normal((n, d))
     return g

@@ -98,12 +98,25 @@ def test_platter_deterministic_output(capsys):
     assert "seed: 5" in out1
 
 
-def test_platter_invalid_assignment_exit_code(capsys):
-    code, _, err = capture(capsys, ["platter", "--strategy", "classical",
-                                    "--trials", "10", "--assignment",
-                                    "1,1,0,0,0"])
-    assert code == 2
-    assert "error" in err
+PLATTER_REFUSALS = [  # (option, value, a fragment of the one error line)
+    ("--assignment", "1,1,0,0,0", "adjacent stones at cups 0 and 1"),
+    ("--assignment", "1,0,1,0", "five 0/1 entries"),
+    ("--assignment", "2,0,0,0,0", "five 0/1 entries"),
+    ("--assignment", "1,x,0,0,0", "'x'"),
+    ("--state", "1,0", "3 components"),
+    ("--state", "a,b,c", "complex()"),
+]
+
+
+@pytest.mark.parametrize("flag,value,fragment", PLATTER_REFUSALS,
+                         ids=[value for _, value, _ in PLATTER_REFUSALS])
+def test_platter_invalid_assignment_exit_code(capsys, flag, value, fragment):
+    strategy = "classical" if flag == "--assignment" else "quantum"
+    code, out, err = capture(capsys, ["platter", "--strategy", strategy,
+                                      "--trials", "10", flag, value])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert fragment in err
 
 
 def test_measure_fraction_closed_form(capsys):
@@ -422,6 +435,81 @@ def test_parser_built_once_per_process(capsys):
         build_parser.cache_clear()
         assert capture(capsys, argv) == result
 
+
+
+SETS = {"set": None, "phase": None, "file": None}
+SET_ARGV = ["--set", "three-cubes", "--phase", "0.5", "--file", "s.json"]
+SET_FULL = {"set": "three-cubes", "phase": 0.5, "file": "s.json"}
+
+# Each leaf command's option surface: (command words, its required
+# arguments, the rest of a full argv, the namespace of command words plus
+# required arguments, that of the full argv), namespaces without fn.
+SURFACE = [
+    (["catalog"], [["emit"]], ["three-cubes", "--phase", "0.5", "--file",
+                               "s.json"],
+     {"command": "catalog", "action": "emit", **SETS},
+     {"command": "catalog", "action": "emit", **SET_FULL}),
+    *(([verb], [], SET_ARGV, {"command": verb, **SETS},
+       {"command": verb, **SET_FULL}) for verb in ("graph", "color",
+                                                   "spectrum")),
+    (["bounds"], [], [*SET_ARGV, "--json"],
+     {"command": "bounds", **SETS, "json": False},
+     {"command": "bounds", **SET_FULL, "json": True}),
+    (["platter"], [["--strategy", "quantum"], ["--trials", "10"]],
+     ["--seed", "3", "--assignment", "1,0,1,0,0", "--state", "0,0,1"],
+     {"command": "platter", "strategy": "quantum", "trials": 10, "seed": 0,
+      "assignment": None, "state": None},
+     {"command": "platter", "strategy": "quantum", "trials": 10, "seed": 3,
+      "assignment": "1,0,1,0,0", "state": "0,0,1"}),
+    (["measure", "fraction"], [["--field", "real"]],
+     ["--dim", "4", "--mc", "100", "--seed", "3", "--json", "--scan", "2:5"],
+     {"command": "measure", "measure_cmd": "fraction", "field": "real",
+      "dim": None, "mc": None, "seed": 0, "json": False, "scan": None},
+     {"command": "measure", "measure_cmd": "fraction", "field": "real",
+      "dim": 4, "mc": 100, "seed": 3, "json": True, "scan": "2:5"}),
+    (["measure", "bases"], [["--dim", "4"], ["--mc", "100"]],
+     ["--seed", "3", "--json"],
+     {"command": "measure", "measure_cmd": "bases", "dim": 4, "mc": 100,
+      "seed": 0, "json": False},
+     {"command": "measure", "measure_cmd": "bases", "dim": 4, "mc": 100,
+      "seed": 3, "json": True}),
+    (["measure", "validity"],
+     [["--field", "complex"], ["--dim", "3"], ["--mc", "100"]],
+     ["--seed", "3", "--json"],
+     {"command": "measure", "measure_cmd": "validity", "field": "complex",
+      "dim": 3, "mc": 100, "seed": 0, "json": False},
+     {"command": "measure", "measure_cmd": "validity", "field": "complex",
+      "dim": 3, "mc": 100, "seed": 3, "json": True}),
+    (["measure", "separable"], [["--mc", "100"]], ["--seed", "3", "--json"],
+     {"command": "measure", "measure_cmd": "separable", "mc": 100,
+      "seed": 0, "json": False},
+     {"command": "measure", "measure_cmd": "separable", "mc": 100,
+      "seed": 3, "json": True}),
+]
+
+
+@pytest.mark.parametrize("words,required,rest,minimal,full", SURFACE,
+                         ids=[" ".join(case[0]) for case in SURFACE])
+def test_option_surface(capsys, words, required, rest, minimal, full):
+    def parsed(argv):
+        return {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+                if k != "fn"}
+
+    needed = [w for pair in required for w in pair]
+    assert parsed([*words, *needed]) == minimal
+    assert parsed([*words, *needed, *rest]) == full
+    for k in range(len(required)):
+        kept = [w for pair in required[:k] + required[k + 1:] for w in pair]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*words, *kept, *rest])
+        assert exc.value.code == 2, required[k]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*words, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in [w for w in needed + rest if w.startswith("--")]:
+        assert flag in text, flag
 
 @pytest.mark.parametrize("component", ["true", "1" + "0" * 400])
 def test_non_number_component_exits_2(tmp_path, capsys, component):

@@ -64,7 +64,11 @@ def test_eigen_max_rejects_non_finite_entries(H):
     (lambda: projector_sum(RaySet(3, "real", np.zeros((0, 3), complex), ())),
      "empty ray set"),
     (lambda: eigen_max(np.zeros((2, 3))), "square matrix required"),
-], ids=["empty-set", "non-square"])
+    (lambda: ClassicalStrategy((1, 0, 1, 0)), "five 0/1 entries"),
+    (lambda: ClassicalStrategy((2, 0, 0, 0, 0)), "five 0/1 entries"),
+    (lambda: QuantumStrategy((1, 0)).probabilities(), "3 components"),
+], ids=["empty-set", "non-square", "four-entries", "entry-2",
+        "two-components"])
 def test_operator_refusals(make, message):
     with pytest.raises(InvalidInput, match=message):
         make()

@@ -326,10 +326,10 @@ def test_realize_restarts_on_coincident_rays(monkeypatch):
 
 
 def test_oversize_draw_is_invalid_input():
-    # numpy refuses the shape before it allocates
-    with pytest.raises(InvalidInput):
+    # numpy refuses the shape before it allocates; the refusal names both
+    with pytest.raises(InvalidInput, match=f"^5 rows of dimension {2**62}: "):
         realize(cycle_graph(5), 2**62, 0)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=f"^1 rows of dimension {2**62}: "):
         sample_rays("real", 2**62, 1, stream_rng(0, 0))
 
 
