@@ -1,9 +1,20 @@
-"""Deterministic counter-based random streams.
+"""Deterministic seeded random streams, in two families.
 
-Every stochastic routine draws from Philox generators keyed by
-(seed, stream index).  Chunked Monte Carlo loops iterate `chunks`, which
-gives each fixed-size chunk its own stream, so results do not depend on how
-chunks are scheduled.
+`stream_rng(seed, stream)` is a counter-based Philox generator keyed by the
+two 64-bit words (seed, stream).  It serves `realize` and other callers
+that draw a few hundred numbers per stream, where the generator's speed
+does not show, so they need no faster one.
+
+Chunked Monte Carlo loops iterate `chunks`, which gives chunk k of a seed
+the k-th child of SeedSequence(seed) as an SFC64 generator, the fastest of
+numpy's bit generators for every variate those loops draw.  SeedSequence
+hashes the seed and the spawn key k into the 256-bit SFC64 state, SFC64's
+counter guarantees every cycle a period of at least 2^64, and a chunk draws
+at most CHUNK * measure.ROW_WIDTH = 2^22 variates, so two chunks of a run
+share draws only with negligible probability, and results do not depend on
+how chunks are scheduled.  The key is a spawn key, not a second entropy
+word: SeedSequence([s, k]) drops a trailing zero word, so chunk 0 of seed
+2^32 + 1 would draw chunk 1 of seed 1.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ _MASK = (1 << 64) - 1
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     _check_int(seed, "seed")
+    _check_int(stream, "stream")
     key = np.array([int(seed) & _MASK, int(stream) & _MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -41,10 +53,17 @@ def chunk_sizes(total: int, chunk: int = CHUNK):
     return (min(chunk, total - start) for start in range(0, total, chunk))
 
 
+def _chunk_rng(seed: int, k: int) -> np.random.Generator:
+    _check_int(seed, "seed")
+    entropy = np.random.SeedSequence(int(seed) & _MASK, spawn_key=(k,))
+    return np.random.Generator(np.random.SFC64(entropy))
+
+
 def chunks(seed: int, total: int, what: str = "samples", rows: int = CHUNK):
     """(generator, size) per chunk of at most rows draws of a budget: chunk k
-    draws from stream_rng(seed, k).  A budget that is not an integer >= 1
-    is refused at call time."""
+    draws from the SFC64 stream of child k of SeedSequence(seed).  A budget
+    that is not an integer >= 1 is refused at call time, the seed only when
+    the first chunk is drawn."""
     _check_int(total, what, 1)
-    return ((stream_rng(seed, k), size)
+    return ((_chunk_rng(seed, k), size)
             for k, size in enumerate(chunk_sizes(total, rows)))

@@ -180,11 +180,11 @@ RECORDS = [  # (command line, exact stdout), text and --json forms
      '"packing_weights": [0.5, 0.5, 0.5, 0.5, 0.5], '
      '"theta": 2.2360679774894465, "theta_gap": 3.3727687309692556e-11}\n'),
     ("measure fraction --field real --dim 4 --mc 3000 --seed 2",
-     "closed form: 0.79068789486\nvalue: 0.796666666667 "
-     "stderr: 0.00734821721891 samples: 3000 seed: 2\n"),
+     "closed form: 0.79068789486\nvalue: 0.792 "
+     "stderr: 0.00741026315322 samples: 3000 seed: 2\n"),
     ("measure fraction --field real --dim 4 --mc 3000 --seed 2 --json",
      '{"closed_form": 0.7906878948604386, "samples": 3000, "seed": 2, '
-     '"stderr": 0.007348217218910741, "value": 0.7966666666666666}\n'),
+     '"stderr": 0.007410263153222022, "value": 0.792}\n'),
     ("measure fraction --field real --scan 2:5",
      "dimension,fraction\n2,1\n3,0.870243488003\n4,0.79068789486\n"
      "5,0.742215557217\n"),
@@ -196,11 +196,11 @@ RECORDS = [  # (command line, exact stdout), text and --json forms
     ("measure fraction --field complex --dim 3 --json",
      '{"closed_form": 0.8055555555555555}\n'),
     ("measure bases --dim 4 --mc 3000 --seed 6",
-     "value: 0.460666666667 stderr: 0.00910041920076 samples: 3000 "
+     "value: 0.446666666667 stderr: 0.00907662851422 samples: 3000 "
      "seed: 6\n"),
     ("measure bases --dim 4 --mc 3000 --seed 6 --json",
-     '{"samples": 3000, "seed": 6, "stderr": 0.009100419200763755, '
-     '"value": 0.46066666666666667}\n'),
+     '{"samples": 3000, "seed": 6, "stderr": 0.009076628514221852, '
+     '"value": 0.44666666666666666}\n'),
     ("measure validity --field complex --dim 3 --mc 3000 --seed 3",
      "both-red orthogonal pairs: 0\nall-green bases: 0\n"
      "samples: 3000 seed: 3\n"),

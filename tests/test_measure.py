@@ -23,7 +23,7 @@ from ksray import (
 from ksray import measure, ortho
 from ksray.measure import _quadrant
 from ksray.rays import _canonical_rows
-from ksray.rng import CHUNK, chunk_sizes, chunks, gaussian_rows
+from ksray.rng import CHUNK, chunks, gaussian_rows
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -393,8 +393,7 @@ def _row_weights(field, d, samples, seed, rows):
     """Each chunk's coordinate weights, one row per ray: the chunk's (d, size)
     draw of squared normals (real) or exponentials (complex), copied into
     rows and divided by each row's own sum."""
-    for k, size in enumerate(chunk_sizes(samples, rows)):
-        rng = stream_rng(seed, k)
+    for rng, size in chunks(seed, samples, rows=rows):
         if field == REAL:
             x = np.ascontiguousarray(rng.standard_normal((d, size)).T) ** 2
         else:
@@ -475,6 +474,8 @@ SEEDED = {  # entry point: (call(budget, seed), budget name, a valid budget)
     # realize has no budget; its dimension takes that place
     "realize": (lambda d, s: realize(cycle_graph(5), d, s).matrix.tolist(),
                 "dimension", 3),
+    # a Philox stream has no budget; its stream index takes that place
+    "stream": (lambda k, s: stream_rng(s, k).random(4).tolist(), "stream", 3),
 }
 
 
@@ -483,7 +484,7 @@ def test_seeded_entry_points_refuse_non_integers(name):
     # a record must report the budget and the seed its streams ran with, so
     # a float, string or bool is refused, naming the argument
     call, budget, good = SEEDED[name]
-    for bad in (2.5, 1000.0, True):
+    for bad in (2.5, 1000.0, "3", True):
         with pytest.raises(InvalidInput, match=re.escape(
                 f"{budget} must be an integer, got {bad!r}")):
             call(bad, 7)
@@ -492,6 +493,46 @@ def test_seeded_entry_points_refuse_non_integers(name):
                 f"seed must be an integer, got {bad!r}")):
             call(good, bad)
     assert call(np.int64(good), np.int64(7)) == call(good, 7)
+
+
+REFUSAL_ORDER = {  # entry point: (call(budget, dimension or strategy, seed),
+    # each argument as (position, bad, good, refusal) in the order refused)
+    "fraction": (lambda n, d, s: mc_colored_fraction(REAL, d, n, s), [
+        (0, 0, 100, "samples must be >= 1"),
+        (1, 1, 3, "dimension must be >= 2"),
+        (2, 7.9, 7, "seed must be an integer, got 7.9")]),
+    "validity": (lambda n, d, s: region_validity_mc(COMPLEX, d, n, s), [
+        (0, 0, 100, "samples must be >= 1"),
+        (1, 1, 3, "dimension must be >= 2"),
+        (2, 7.9, 7, "seed must be an integer, got 7.9")]),
+    # the basis fraction checks its dimension before its budget
+    "bases": (lambda n, d, s: basis_colored_fraction_mc(d, n, s), [
+        (1, 1, 3, "d must be >= 2"),
+        (0, 0, 100, "samples must be >= 1"),
+        (2, 7.9, 7, "seed must be an integer, got 7.9")]),
+    "separable": (lambda n, _, s: separable_validity_mc(n, s), [
+        (0, 0, 100, "samples must be >= 1"),
+        (2, 7.9, 7, "seed must be an integer, got 7.9")]),
+    "platter": (lambda n, q, s: platter_simulate(QuantumStrategy(q), n, s), [
+        (0, 0, 100, "trials must be >= 1"),
+        (1, (0, 0, 0), (0, 0, 1), "state norm 0 is not finite and positive"),
+        (2, 7.9, 7, "seed must be an integer, got 7.9")]),
+}
+
+
+@pytest.mark.parametrize("name", REFUSAL_ORDER)
+def test_chunked_entry_points_refuse_in_order(name):
+    # the budget is refused at call time and the seed only when the first
+    # chunk is drawn, so a bad seed never hides a bad dimension or strategy
+    call, steps = REFUSAL_ORDER[name]
+    args = [None] * 3
+    for position, bad, _, _ in steps:
+        args[position] = bad
+    for position, _, good, message in steps:
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            call(*args)
+        args[position] = good
+    call(*args)
 
 
 class _RecordingRng:
@@ -544,35 +585,35 @@ RAGGED = 2 * CHUNK + 7  # two full chunks and a short last one
 
 @pytest.mark.parametrize("run,expected", [
     (lambda: mc_colored_fraction(REAL, 5, RAGGED, 11),
-     "MCEstimate(value=0.7430938594282837, stderr=0.0012068200557478989, "
+     "MCEstimate(value=0.7412323865760343, stderr=0.0012096663332400392, "
      "samples=131079, seed=11)"),
     (lambda: mc_colored_fraction(COMPLEX, 4, RAGGED, 12),
-     "MCEstimate(value=0.7031255960146171, stderr=0.0012619329252985304, "
+     "MCEstimate(value=0.7031713699372134, stderr=0.0012618767077379005, "
      "samples=131079, seed=12)"),
     (lambda: region_validity_mc(REAL, 3, RAGGED, 13), "(0, 0)"),
     (lambda: region_validity_mc(COMPLEX, 4, RAGGED, 13), "(0, 0)"),
     (lambda: basis_colored_fraction_mc(2, RAGGED, 14),
      "MCEstimate(value=1.0, stderr=0.0, samples=131079, seed=14)"),
     (lambda: basis_colored_fraction_mc(3, RAGGED, 15),
-     "MCEstimate(value=0.692979043172438, stderr=0.0012740236828512786, "
+     "MCEstimate(value=0.6976250963159621, stderr=0.0012685785375499427, "
      "samples=131079, seed=15)"),
     (lambda: basis_colored_fraction_mc(4, RAGGED, 16),
-     "MCEstimate(value=0.4507281868186361, stderr=0.0013743092063161289, "
+     "MCEstimate(value=0.45315420471623985, stderr=0.0013749562701981118, "
      "samples=131079, seed=16)"),
     (lambda: separable_validity_mc(RAGGED, 17), "0"),
     (lambda: platter_simulate(ClassicalStrategy((1, 0, 1, 0, 0)), RAGGED, 18),
      "PlatterOutcome(strategy='classical', estimate=2.0, trials=131079, "
      "seed=18, frequencies=(1.0, 0.0, 1.0, 0.0, 0.0))"),
     (lambda: platter_simulate(ConspiratorialStrategy(), RAGGED, 19),
-     "PlatterOutcome(strategy='conspiratorial', estimate=2.4999998406359643, "
-     "trials=131079, seed=19, frequencies=(0.49493391231478306, "
-     "0.5045943266737838, 0.49732224247948953, 0.49740902809765086, "
-     "0.5057403310702571))"),
+     "PlatterOutcome(strategy='conspiratorial', estimate=2.4999999901768115, "
+     "trials=131079, seed=19, frequencies=(0.49931441630165685, "
+     "0.4987669425911411, 0.5024979977880325, 0.4978562853712914, "
+     "0.50156434812469))"),
     (lambda: platter_simulate(QuantumStrategy((0, 0, 1)), RAGGED, 20),
-     "PlatterOutcome(strategy='quantum', estimate=2.2343795384318437, "
-     "trials=131079, seed=20, frequencies=(0.4483703929332927, "
-     "0.44703719149258825, 0.44798673704670616, 0.4465024517315354, "
-     "0.44448276522772123))"),
+     "PlatterOutcome(strategy='quantum', estimate=2.2335156536806453, "
+     "trials=131079, seed=20, frequencies=(0.4439893586480124, "
+     "0.447225826146684, 0.447323890103622, 0.449056747155043, "
+     "0.44591983162728405))"),
 ], ids=["fraction-real", "fraction-complex", "validity-real",
         "validity-complex", "bases-2", "bases-3", "bases-4", "separable",
         "platter-classical", "platter-conspiratorial", "platter-quantum"])
@@ -580,6 +621,37 @@ def test_chunked_entry_points_pinned(run, expected):
     """Every chunked Monte Carlo result, to the last digit, over a budget
     whose last chunk is short: the chunk/stream split must never move."""
     assert repr(run()) == expected
+
+
+def _spawned(seed, k):
+    """Child k of SeedSequence(seed mod 2^64) as an SFC64 generator."""
+    child = np.random.SeedSequence(int(seed) % 2**64).spawn(k + 1)[k]
+    return np.random.Generator(np.random.SFC64(child))
+
+
+@pytest.mark.parametrize("seed", [5, -3, np.int64(2**40 + 9)])
+def test_chunk_k_draws_child_k_of_the_seed(seed):
+    for k, (rng, size) in enumerate(chunks(seed, RAGGED)):
+        assert rng.standard_normal(16).tolist() == (
+            _spawned(seed, k).standard_normal(16).tolist())
+        assert size == (7 if k == 2 else CHUNK)
+
+
+def test_chunk_streams_are_uncorrelated():
+    # neighbouring seeds and chunks, and chunk 0 of seed 2^32 + 1 against
+    # chunk 1 of seed 1, which SeedSequence([s, k]) would draw alike
+    n = 2**16
+
+    def stream(seed, k):
+        rng, _ = list(chunks(seed, (k + 1) * CHUNK))[k]
+        return rng.standard_normal(n)
+
+    s, k = 41, 3
+    pairs = [((s, k), (s, k + 1)), ((s, k), (s + 1, k)),
+             ((s, k + 1), (s + 1, k)), ((2**32 + 1, 0), (1, 1))]
+    for a, b in pairs:
+        r = np.corrcoef(stream(*a), stream(*b))[0, 1]
+        assert abs(r) < 4 / math.sqrt(n)
 
 
 def test_first_chunk_of_a_large_budget_is_small():
