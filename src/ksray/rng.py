@@ -6,15 +6,15 @@ that draw a few hundred numbers per stream, where the generator's speed
 does not show, so they need no faster one.
 
 Chunked Monte Carlo loops iterate `chunks`, which gives chunk k of a seed
-the k-th child of SeedSequence(seed) as an SFC64 generator, the fastest of
-numpy's bit generators for every variate those loops draw.  SeedSequence
-hashes the seed and the spawn key k into the 256-bit SFC64 state, SFC64's
-counter guarantees every cycle a period of at least 2^64, and a chunk draws
-at most CHUNK * measure.ROW_WIDTH = 2^22 variates, so two chunks of a run
-share draws only with negligible probability, and results do not depend on
-how chunks are scheduled.  The key is a spawn key, not a second entropy
-word: SeedSequence([s, k]) drops a trailing zero word, so chunk 0 of seed
-2^32 + 1 would draw chunk 1 of seed 1.
+the k-th child of SeedSequence(seed) as an SFC64 generator, faster than
+Philox for every variate those loops draw.  SeedSequence hashes the seed
+and the spawn key k into the 192 bits of SFC64's state beside its counter,
+the counter guarantees every cycle a period of at least 2^64, and a chunk
+draws at most CHUNK * measure.ROW_WIDTH = 2^22 variates, so two chunks of
+a run share draws only with negligible probability, and results do not
+depend on how chunks are scheduled.  The key is a spawn key, not a second
+entropy word: SeedSequence([s, k]) drops a trailing zero word, so chunk 0
+of seed 2^32 + 1 would draw chunk 1 of seed 1.
 """
 
 from __future__ import annotations
