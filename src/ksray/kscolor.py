@@ -62,17 +62,28 @@ class _Searcher:
     Propagation: a Red vertex greens its neighbors; a basis with a Red
     greens its rest; a basis with all but one Green reddens the last; a
     fully Green basis is a conflict.
+
+    Each vertex's kill mask holds its neighbors and the other members of
+    every basis through it: exactly what the first two rules green when it
+    turns Red, and a Red among them is a conflict.  So a Red vertex is
+    checked and settled in two bit operations, and a Green one visits only
+    its bases that hold no Red (a basis with a Red is settled by that Red).
+    The search walks an explicit stack, one entry per open node, so its
+    depth is bounded by the vertex count and not by Python's recursion
+    limit.
     """
 
     def __init__(self, g: OrthoGraph, basis_masks: list[int]):
         self.n = g.n
-        self.nbrs = g._neighbor_masks
-        self.in_bases: list[list[int]] = [[] for _ in range(g.n)]
+        nbrs = g._neighbor_masks
+        self.kill = kill = list(nbrs)
+        self.in_bases = in_bases = [[] for _ in range(g.n)]
         for mask in basis_masks:
             for v in _bits(mask):
-                self.in_bases[v].append(mask)
+                in_bases[v].append(mask)
+                kill[v] |= mask & ~(1 << v)
         self.order = sorted(range(g.n),
-                            key=lambda v: (-self.nbrs[v].bit_count(), v))
+                            key=lambda v: (-nbrs[v].bit_count(), v))
         self.nodes = 0
         self.witness: tuple[Color, ...] | None = None
         self.counts: dict[int, int] = {}
@@ -84,26 +95,25 @@ class _Searcher:
         The fixpoint, or the conflict, is the same in any order, so pending
         is a mask popped lowest bit first.
         """
+        kill, in_bases = self.kill, self.in_bases
         while pending:
             low = pending & -pending
             pending ^= low
             v = low.bit_length() - 1
             if red & low:
-                if self.nbrs[v] & red:
+                if kill[v] & red:
                     return None
-                new = self.nbrs[v] & ~green
+                new = kill[v] & ~green
                 green |= new
                 pending |= new
-            for b in self.in_bases[v]:
-                reds, unset = b & red, b & ~(red | green)
-                if reds & (reds - 1):
-                    return None
-                if reds:
-                    green |= unset
-                    pending |= unset
-                elif not unset:
+                continue
+            for b in in_bases[v]:
+                if b & red:
+                    continue
+                unset = b & ~(red | green)
+                if not unset:
                     return None  # fully green basis
-                elif not unset & (unset - 1):
+                if not unset & (unset - 1):
                     red |= unset
                     pending |= unset
         return red, green
@@ -119,26 +129,51 @@ class _Searcher:
         vertex holds no Red and no unassigned vertex touches a Red, so the
         completions depend only on which vertices are unassigned.
         """
-        assigned = red | green
-        if limit is None and assigned in self.counts:
-            return self.counts[assigned]
-        self.nodes += 1
-        v = next((u for u in self.order if not assigned >> u & 1), None)
-        if v is None:
-            if self.witness is None:
-                self.witness = tuple(Color.RED if red >> u & 1 else Color.GREEN
-                                     for u in range(self.n))
-            return 1
-        total = 0
-        for branch in ((red | 1 << v, green), (red, green | 1 << v)):
-            state = self._propagate(*branch, 1 << v)
+        counts, order, propagate = self.counts, self.order, self._propagate
+        n, nodes = self.n, 0
+        # one list per open node: its assigned mask, the colorings counted
+        # so far, its Green branch as (red, green, bit) with bit 0 once
+        # tried, and the place in order where its children's scan starts
+        stack = []
+        state, start = (red, green), 0
+        while True:
+            found = 0  # colorings under state, none when it is a conflict
             if state is not None:
-                total += self.search(*state, limit=limit)
-            if limit is not None and total >= limit:
-                break
-        if limit is None:
-            self.counts[assigned] = total
-        return total
+                red, green = state
+                assigned = red | green
+                if limit is None and assigned in counts:
+                    found = counts[assigned]
+                else:
+                    nodes += 1
+                    i = start
+                    while i < n and assigned >> order[i] & 1:
+                        i += 1
+                    if i < n:
+                        bit, start = 1 << order[i], i + 1
+                        stack.append(
+                            [assigned, 0, red, green | bit, bit, start])
+                        state = propagate(red | bit, green, bit)
+                        continue
+                    if self.witness is None:
+                        self.witness = tuple(
+                            Color.RED if red >> u & 1 else Color.GREEN
+                            for u in range(n))
+                    found = 1
+            # close the nodes whose branches are done, innermost first
+            while stack:
+                node = stack[-1]
+                node[1] += found
+                if node[4] and (limit is None or node[1] < limit):
+                    state = propagate(node[2], node[3], node[4])
+                    start, node[4] = node[5], 0
+                    break
+                stack.pop()
+                if limit is None:
+                    counts[node[0]] = node[1]
+                found = node[1]
+            else:
+                self.nodes += nodes
+                return found
 
 
 def _basis_masks(g: OrthoGraph, bases) -> list[int]:
@@ -155,7 +190,7 @@ def _basis_masks(g: OrthoGraph, bases) -> list[int]:
             entries = (None,)  # not a sequence: refused below
         mask = 0
         for v in entries:
-            if _is_int(v) and 0 <= v < g.n:
+            if (type(v) is int or _is_int(v)) and 0 <= v < g.n:
                 mask |= 1 << int(v)
         # an entry that is not a vertex, or a repeated one, adds no new bit
         if mask.bit_count() != len(entries):

@@ -231,7 +231,6 @@ def basis_colored_fraction_mc(d: int, samples: int, seed: int) -> MCEstimate:
     the belt.  A fully colored basis automatically holds exactly one Red
     member; this is asserted inside the loop as a side check.
     """
-    _check_int(d, "d", 2)
     full = 0
     for red, green in _region_masks(REAL, d, samples, seed):
         fully = (red | green).all(axis=0)

@@ -223,7 +223,7 @@ def test_record_output_pinned(capsys, line, expected):
 @pytest.mark.parametrize("line,message", [
     ("measure fraction --field real --dim 3 --mc 0",
      "error: samples must be >= 1"),
-    ("measure bases --dim 1 --mc 0", "error: d must be >= 2"),
+    ("measure bases --dim 1 --mc 0", "error: samples must be >= 1"),
     ("measure validity --field real --dim 1 --mc 0",
      "error: samples must be >= 1"),
     ("platter --strategy quantum --trials 0", "error: trials must be >= 1"),
@@ -266,6 +266,17 @@ def test_file_overrides_set(tmp_path, capsys):
                                      "--file", str(path)])
     assert code == 0
     assert json.loads(out2)["n"] == 5
+
+
+def test_color_a_file_of_free_rays(tmp_path, capsys):
+    # no two of 1500 random rays of R^3 are orthogonal, so each is a free
+    # decision of the search, 1500 deep
+    rays = ksray.stream_rng(1500, 0).standard_normal((1500, 3))
+    path = tmp_path / "free.json"
+    path.write_text(ksray.rayset_to_json(ksray.build_rayset(rays, "real")))
+    code, out, err = capture(capsys, ["color", "--file", str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith("COLORABLE\nwitness: ") and out.count("=R") == 1500
 
 
 def test_catalog_emit_from_file(tmp_path, capsys):

@@ -169,6 +169,12 @@ def test_no_bases_means_colorable():
     assert ok
 
 
+def test_search_deeper_than_the_recursion_limit():
+    # each of 1500 free vertices is one decision, 1500 deep, past Python's
+    # default recursion limit of 1000; Red comes first at every one
+    assert ks_solve(from_edges(1500, [], 3)).witness == (R,) * 1500
+
+
 def test_ks_solve_deterministic():
     g = ortho_graph(cube13())
     bases = complete_bases(g)
@@ -252,6 +258,108 @@ def test_solve_iff_count_positive():
         g = ortho_graph(rs)
         bases = complete_bases(g)
         assert ks_solve(g, bases).colorable == (count_colorings(g, bases) > 0)
+
+
+# --- differential oracle ---------------------------------------------------
+
+def reference_solve(g, bases):
+    """Oracle: the search the _Searcher docstring describes, written with a
+    color list per node and recursion.
+
+    A popped Red vertex greens its neighbors, and on every pop each basis
+    through the vertex is checked: two Reds or all Green is a conflict, one
+    Red greens the rest, one unassigned vertex left among Greens turns Red.
+    Returns the first witness (None if there is none) and the node count.
+    """
+    nbrs = [set(np.flatnonzero(g.adjacency[v])) for v in range(g.n)]
+    order = sorted(range(g.n), key=lambda v: (-len(nbrs[v]), v))
+    through = [[b for b in bases if v in b] for v in range(g.n)]
+
+    def propagate(colors, queue):
+        while queue:
+            u = queue.pop()
+            if colors[u] is R:
+                if any(colors[w] is R for w in nbrs[u]):
+                    return None
+                for w in nbrs[u]:
+                    if colors[w] is None:
+                        colors[w] = G
+                        queue.append(w)
+            for b in through[u]:
+                reds = [w for w in b if colors[w] is R]
+                unset = [w for w in b if colors[w] is None]
+                if len(reds) > 1 or not reds and not unset:
+                    return None
+                if reds or len(unset) == 1:
+                    for w in unset:
+                        colors[w] = G if reds else R
+                        queue.append(w)
+        return colors
+
+    nodes = 0
+
+    def search(colors):
+        nonlocal nodes
+        nodes += 1
+        free = [v for v in order if colors[v] is None]
+        if not free:
+            return tuple(colors)
+        for color in (R, G):
+            trial = list(colors)
+            trial[free[0]] = color
+            if propagate(trial, [free[0]]) is not None:
+                found = search(trial)
+                if found is not None:
+                    return found
+        return None
+
+    return search([None] * g.n), nodes
+
+
+def random_instance(k):
+    """A seeded graph of 3 to 17 vertices with caller bases that need not
+    be cliques: each of 1 to 4 vertices drawn from a covered subset, so
+    some vertices lie in no basis."""
+    rng = stream_rng(3232, k)
+    n = int(rng.integers(3, 18))
+    adj = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.4), 1)
+    g = from_edges(n, list(zip(*np.nonzero(adj))), dimension=3)
+    covered = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    bases = [tuple(int(v) for v in rng.choice(
+                 covered, int(rng.integers(1, min(4, covered.size) + 1)),
+                 replace=False))
+             for _ in range(int(rng.integers(0, n)))]
+    return g, bases
+
+
+def test_search_matches_reference_on_random_caller_bases():
+    kinds, shapes = set(), set()
+    for k in range(300):
+        g, bases = random_instance(k)
+        shapes.update("single" if len(b) == 1 else "clique" if all(
+            g.adjacency[i, j] for i, j in itertools.combinations(b, 2))
+            else "not-a-clique" for b in bases)
+        if set(range(g.n)) - {v for b in bases for v in b}:
+            shapes.add("vertex-in-no-basis")
+        verdict = ks_solve(g, bases)
+        assert count_colorings(g, bases) == numpy_count(g, bases), k
+        parity = len(bases) % 2 == 1 and all(
+            sum(v in b for b in bases) % 2 == 0 for v in range(g.n))
+        if parity:
+            assert isinstance(verdict.certificate, ParityCertificate), k
+            kinds.add("parity")
+            continue
+        witness, nodes = reference_solve(g, bases)
+        assert verdict.witness == witness, k
+        assert verdict.colorable == (witness is not None), k
+        if witness is None:
+            assert verdict.certificate == ExhaustionProof(nodes), k
+            kinds.add("exhaustion")
+        else:
+            kinds.add("witness")
+    # the sample reaches every kind of verdict and of basis
+    assert kinds == {"parity", "exhaustion", "witness"}
+    assert shapes == {"single", "clique", "not-a-clique", "vertex-in-no-basis"}
 
 
 # --- pinned verdicts ----------------------------------------------------------

@@ -505,10 +505,9 @@ REFUSAL_ORDER = {  # entry point: (call(budget, dimension or strategy, seed),
         (0, 0, 100, "samples must be >= 1"),
         (1, 1, 3, "dimension must be >= 2"),
         (2, 7.9, 7, "seed must be an integer, got 7.9")]),
-    # the basis fraction checks its dimension before its budget
     "bases": (lambda n, d, s: basis_colored_fraction_mc(d, n, s), [
-        (1, 1, 3, "d must be >= 2"),
         (0, 0, 100, "samples must be >= 1"),
+        (1, 1, 3, "dimension must be >= 2"),
         (2, 7.9, 7, "seed must be an integer, got 7.9")]),
     "separable": (lambda n, _, s: separable_validity_mc(n, s), [
         (0, 0, 100, "samples must be >= 1"),
