@@ -26,7 +26,8 @@ def _resolve_set(args) -> rays.RaySet:
     """The one place that picks a command's ray set: --file overrides the
     named catalog, and --phase applies to three-cubes alone."""
     if not args.file and args.set is None:
-        raise rays.InvalidInput("no ray set given; use --set or --file")
+        raise rays.InvalidInput("no ray set given; name a catalog set "
+                                "or give --file")
     if args.phase is not None and (args.file or args.set != "three-cubes"):
         raise rays.InvalidInput("--phase applies only to three-cubes")
     if args.file:
@@ -61,9 +62,13 @@ def _estimate(est: measure.MCEstimate) -> tuple[dict, list[str]]:
 
 
 def cmd_catalog(args) -> str:
-    if args.action == "list":
-        return "".join(f"{name}\n" for name in rays.CATALOGS)
-    return rays.rayset_to_json(_resolve_set(args))
+    if args.action == "emit":
+        return rays.rayset_to_json(_resolve_set(args))
+    for given, what in ((args.set, "a set name"), (args.phase, "--phase"),
+                        (args.file, "--file")):
+        if given is not None:
+            raise rays.InvalidInput(f"{what} applies only to emit")
+    return "".join(f"{name}\n" for name in rays.CATALOGS)
 
 
 def cmd_graph(args) -> str:
@@ -154,7 +159,10 @@ def _parse_scan(text: str) -> tuple[int, int]:
 def cmd_fraction(args) -> str:
     fn = (measure.colored_fraction_real if args.field == "real"
           else measure.colored_fraction_complex)
-    if args.scan:
+    if args.scan is not None:
+        for flag in ("dim", "mc"):
+            if getattr(args, flag) is not None:
+                raise rays.InvalidInput(f"--{flag} does not apply to --scan")
         lo, hi = _parse_scan(args.scan)
         dims = list(range(lo, hi + 1))
         fracs = [fn(d) for d in dims]

@@ -292,13 +292,14 @@ def test_catalog_emit_from_file(tmp_path, capsys):
 
 
 CHOICES = "cube13, peres24, three-cubes, kcbs5, ceg18"
+NO_SET = "no ray set given; name a catalog set or give --file"
 
 
 def test_catalog_emit_needs_name_or_file(capsys):
     # refused by run itself, like --set, not by argparse's SystemExit
     for argv in (["catalog", "emit"], ["catalog", "emit", "--phase", "0.5"]):
         assert capture(capsys, argv) == \
-            (2, "", "error: no ray set given; use --set or --file\n")
+            (2, "", f"error: {NO_SET}\n")
     for name in ("nosuch", "three_cubes"):
         assert capture(capsys, ["catalog", "emit", name]) == \
             (2, "", f"error: unknown set {name!r}; choices: {CHOICES}\n")
@@ -309,6 +310,11 @@ SET_REFUSALS = [
     ("color --set peres24 --phase nan", "--phase applies only to three-cubes"),
     ("color --set kcbs5 --phase 0", "--phase applies only to three-cubes"),
     ("catalog emit cube13 --phase 1", "--phase applies only to three-cubes"),
+    ("graph", NO_SET),
+    # catalog list reads no ray set, so it refuses what would pick one
+    ("catalog list --phase nan", "--phase applies only to emit"),
+    ("catalog list --file missing.json", "--file applies only to emit"),
+    ("catalog list peres24", "a set name applies only to emit"),
 ]
 
 
@@ -361,6 +367,13 @@ def test_measure_zero_samples_exit_code(capsys, argv):
      "error: --scan must be LO:HI, got '3'"),
     (["measure", "fraction", "--field", "real", "--scan", "2:x"],
      "error: --scan must be LO:HI, got '2:x'"),
+    (["measure", "fraction", "--field", "real", "--scan", ""],
+     "error: --scan must be LO:HI, got ''"),
+    # a scan prints closed forms only, so it refuses what it would drop
+    (["measure", "fraction", "--field", "real", "--scan", "2:3", "--dim", "7",
+      "--mc", "1000"], "error: --dim does not apply to --scan"),
+    (["measure", "fraction", "--field", "complex", "--scan", "2:3", "--mc",
+      "10"], "error: --mc does not apply to --scan"),
 ])
 def test_measure_fraction_bad_range_exit_code(capsys, argv, message):
     code, out, err = capture(capsys, argv)

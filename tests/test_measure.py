@@ -474,7 +474,7 @@ SEEDED = {  # entry point: (call(budget, seed), budget name, a valid budget)
     # realize has no budget; its dimension takes that place
     "realize": (lambda d, s: realize(cycle_graph(5), d, s).matrix.tolist(),
                 "dimension", 3),
-    # a Philox stream has no budget; its stream index takes that place
+    # a bare stream has no budget; its stream index takes that place
     "stream": (lambda k, s: stream_rng(s, k).random(4).tolist(), "stream", 3),
 }
 
@@ -634,6 +634,8 @@ def test_chunk_k_draws_child_k_of_the_seed(seed):
         assert rng.standard_normal(16).tolist() == (
             _spawned(seed, k).standard_normal(16).tolist())
         assert size == (7 if k == 2 else CHUNK)
+        assert stream_rng(seed, k).standard_normal(16).tolist() == (
+            _spawned(seed, k).standard_normal(16).tolist())
 
 
 def test_chunk_streams_are_uncorrelated():
